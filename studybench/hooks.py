@@ -130,20 +130,13 @@ def _wrap(tracer: Tracer, name: str, fn, size, keep):
     return hooked
 
 
-def install(tracer: Tracer):
-    """Install every hook; returns a callable that restores the originals."""
-    saved = []
+def install(tracer: Tracer) -> None:
+    """Install every hook for the rest of this interpreter's life."""
     for name, owner_path, attr, size, keep in HOOKS:
         owner = _resolve_owner(owner_path)
         original = owner.__dict__[attr] if isinstance(owner, type) \
             else getattr(owner, attr)
-        saved.append((owner, attr, original))
         setattr(owner, attr, _wrap(tracer, name, original, size, keep))
-
-    def restore():
-        for owner, attr, original in reversed(saved):
-            setattr(owner, attr, original)
-    return restore
 
 
 def hook_names(span_name: str) -> list[str]:

@@ -9,14 +9,20 @@ Each study is one ``sasrel.cli.main(["run", "--config", ..., "--out", ...,
 "--seed", ...])`` call in a fresh worker interpreter (``worker.py``), one at a
 time: a closed loop of one client whose rate is one study per ``study_s``.
 BLAS threads are pinned to one: on a 2-core box two OpenBLAS threads made
-the beam study about 40% slower and noisier.  Studies repeat while less than
-``--seconds`` have passed since the first one started, and every study's
-``results.csv`` is checked (``checks.py``); a study that fails a check counts
-as a failed operation.
+the beam study about 40% slower and noisier.
+
+``--seconds`` bounds the whole run, set-up samples included.  After
+``SETUP_SAMPLES`` set-up-only workers (with ``--trace 0``) or the traced
+study (with ``--trace 1``), untraced studies repeat while the elapsed time
+plus the longest worker so far fits in ``--seconds``; there is always at
+least one.
+Every worker is killed at ``DEADLINE_S`` after the start, so a run ends
+within that even if a study hangs.  Every study's ``results.csv`` is checked
+(``checks.py``); a study that fails a check counts as a failed operation.
 
 ``--trace 0`` reports the end-to-end metrics: the median ``study_s``, the
 median ``setup_s`` (fresh interpreter until ready to call ``run``, sampled
-``SETUP_SAMPLES`` times plus once per study) and the median worker
+``SETUP_SAMPLES`` times plus once per untraced study) and the median worker
 ``peak_rss_mb``.  ``--trace 1`` runs one extra study with the span hooks of
 ``hooks.py`` installed and reports the per-layer metrics, the reliability
 errors of that study and the tracing overhead (traced ``study_s`` minus the
@@ -24,8 +30,8 @@ untraced median).
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the line before it
-records the run environment.  Per-study records go to
-``.studybench/reports/`` in the checkout.
+records the run environment and the run's wall time.  Per-study records go
+to ``.studybench/reports/`` in the checkout.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ import checks
 import hooks
 
 HERE = Path(__file__).resolve().parent
-SETUP_SAMPLES = 3
-WORKER_TIMEOUT_S = 120
+SETUP_SAMPLES = 5
+DEADLINE_S = 170
 BLAS_THREADS = 1
 
 
@@ -84,6 +90,22 @@ def study_config(root: Path, workload: Workload) -> dict:
     return study
 
 
+def code_digest(root: Path, study: dict) -> str:
+    """SHA-256 of every file under ``src/`` and of the study config.
+
+    ``results.csv`` digests are kept per code digest, so a change to the
+    program or the config starts a new byte-identity record instead of
+    failing against one made by other code.
+    """
+    h = hashlib.sha256(json.dumps(study, sort_keys=True).encode())
+    src = root / "src"
+    for path in sorted(src.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            h.update(str(path.relative_to(src)).encode() + b"\0")
+            h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -97,9 +119,10 @@ def cpu_model() -> str:
 class Runner:
     """Starts one worker per study or set-up sample, for one config and seed."""
 
-    def __init__(self, root: Path, work: Path, config_path: Path, seed: int):
+    def __init__(self, root: Path, work: Path, config_path: Path, seed: int,
+                 deadline: float):
         self.root, self.work, self.config_path = root, work, config_path
-        self.seed = seed
+        self.seed, self.deadline = seed, deadline
         self.env = {**os.environ, "PYTHONHASHSEED": "0",
                     **{k: str(BLAS_THREADS) for k in (
                         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -107,7 +130,8 @@ class Runner:
         self.count = 0
 
     def spawn(self, setup_only: bool = False, trace: bool = False) -> dict:
-        """Run one worker to completion; its record plus ``setup_s``."""
+        """Run one worker to completion; its record plus ``setup_s`` and
+        ``wall_s`` (worker start to exit)."""
         self.count += 1
         out = self.work / f"study{self.count}"
         result = self.work / f"record{self.count}.json"
@@ -118,17 +142,20 @@ class Runner:
         if setup_only:
             cmd.append("--setup-only")
         started = time.monotonic()
+        timeout = max(self.deadline - started, 1.0)
         try:
             proc = subprocess.run(cmd, env=self.env, cwd=self.root,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                  text=True, timeout=WORKER_TIMEOUT_S)
+                                  text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
-            return {"rc": None, "error": f"worker killed after {WORKER_TIMEOUT_S} s"}
+            return {"rc": None, "error": f"worker killed after {timeout:.0f} s"}
+        wall_s = time.monotonic() - started
         if proc.returncode != 0 or not result.is_file():
             tail = proc.stderr.strip().splitlines()[-3:]
             return {"rc": None, "error": " | ".join(tail) or "worker failed"}
         record = json.loads(result.read_text())
         record["setup_s"] = record.pop("ready") - started
+        record["wall_s"] = wall_s
         csv_path = out / "results.csv"
         record["results_csv"] = csv_path.read_text() if csv_path.is_file() else None
         shutil.rmtree(out, ignore_errors=True)
@@ -140,7 +167,7 @@ def check_records(records: list[dict], study: dict, rank: tuple[int, int],
     """Per-study failure reasons, including byte-identity of ``results.csv``.
 
     ``known_digest`` is the SHA-256 of an earlier ``results.csv`` for the same
-    workload, seed and thread count in this checkout, if any.
+    workload, seed, thread count and code digest in this checkout, if any.
     """
     digest = known_digest
     problems = []
@@ -175,26 +202,31 @@ def main(argv=None) -> int:
               f"{workload.config})", file=sys.stderr)
         return 2
 
+    started = time.monotonic()
     state = root / ".studybench"
     work = state / f"{args.workload}-seed{args.seed}-{os.getpid()}"
     work.mkdir(parents=True, exist_ok=True)
     study = study_config(root, workload)
     config_path = work / "config.json"
     config_path.write_text(json.dumps(study, indent=2))
-    runner = Runner(root, work, config_path, args.seed)
+    runner = Runner(root, work, config_path, args.seed, started + DEADLINE_S)
     try:
-        setups = [runner.spawn(setup_only=True) for _ in range(SETUP_SAMPLES)]
+        setups = [] if args.trace else \
+            [runner.spawn(setup_only=True) for _ in range(SETUP_SAMPLES)]
         traced = runner.spawn(trace=True) if args.trace else None
         studies = []
-        t0 = time.monotonic()
-        while not studies or time.monotonic() - t0 < args.seconds:
+        while True:
             studies.append(runner.spawn())
+            longest = max(r.get("wall_s", 0.0) for r in studies + [traced or {}])
+            if time.monotonic() - started + longest > args.seconds:
+                break
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     digests_path = state / "digests.json"
     digests = json.loads(digests_path.read_text()) if digests_path.is_file() else {}
-    key = f"{args.workload}/seed{args.seed}/threads{BLAS_THREADS}"
+    key = (f"{args.workload}/seed{args.seed}/threads{BLAS_THREADS}/"
+           f"code-{code_digest(root, study)[:16]}")
     records = studies + ([traced] if traced else [])
     problems, digest = check_records(records, study, workload.rank, digests.get(key))
     if digest is not None and key not in digests:
@@ -238,8 +270,11 @@ def main(argv=None) -> int:
         metrics.update({name: {"value": v, "unit": u} for name, (v, u) in extra.items()})
         unfired = traced["unfired"]
 
-    report = {"environment": environment, "setups": setups, "studies": studies,
-              "traced": traced, "problems": problems, "unfired_hooks": unfired}
+    run_info = {"wall_s": time.monotonic() - started, "studies": len(studies),
+                "setup_samples": len(setups)}
+    report = {"environment": environment, "run": run_info, "setups": setups,
+              "studies": studies, "traced": traced, "problems": problems,
+              "unfired_hooks": unfired}
     reports = state / "reports"
     reports.mkdir(exist_ok=True)
     for rec in setups + records:
@@ -252,7 +287,7 @@ def main(argv=None) -> int:
             print(f"study {i + 1} failed: {reason}", file=sys.stderr)
     if unfired:
         print(f"hooks that never fired (metrics null): {', '.join(unfired)}")
-    print(json.dumps({"environment": environment}))
+    print(json.dumps({"environment": environment, "run": run_info}))
     print(json.dumps({"correct": failed == 0 and failed_setups == 0 and bool(metrics),
                       "attempted": attempted, "failed": failed, "metrics": metrics}))
     return 0

@@ -81,6 +81,20 @@ def test_results_must_be_byte_identical():
     assert problems[0]
 
 
+def test_code_digest_follows_source_and_config(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.write_text("x = 1\n")
+    first = run.code_digest(tmp_path, STUDY)
+    assert run.code_digest(tmp_path, STUDY) == first
+    assert run.code_digest(tmp_path, {**STUDY, "n_mcs": 1}) != first
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"\0")
+    assert run.code_digest(tmp_path, STUDY) == first
+    module.write_text("x = 2\n")
+    assert run.code_digest(tmp_path, STUDY) != first
+
+
 def test_unfired_hook_reports_null_and_name():
     tracer = hooks.Tracer()
     span = tracer.open("reliability.mcs")
@@ -98,10 +112,7 @@ def test_layer_map_covers_every_per_layer_metric():
     per_layer = [m["name"] for m in spec["per_layer"]]
     assert [e["metric"] for e in mapping["layers"]] == per_layer
     assert set(hooks.LAYER_METRICS) <= set(per_layer)
-    assert [w["name"] for w in spec["workloads"]] == list(mapping["workloads"])
-    assert set(run.WORKLOADS) == set(mapping["workloads"])
-    for name, workload in run.WORKLOADS.items():
-        assert mapping["workloads"][name]["overrides"] == workload.overrides
+    assert [w["name"] for w in spec["workloads"]] == list(run.WORKLOADS)
 
 
 def test_refuses_directory_without_checkout(tmp_path, monkeypatch, capsys):
@@ -120,6 +131,12 @@ def test_smoke_sobol_m10_end_to_end(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(run.WORKLOADS, "smoke", run.Workload(
         "configs/sobol-m10.json", {"hpcfe": {"restarts": 1}}, (2, 2)))
+    # A digest recorded by other code for the same workload, seed and thread
+    # count must not fail this code's studies.
+    state = tmp_path / ".studybench"
+    state.mkdir()
+    other = f"smoke/seed1/threads{run.BLAS_THREADS}/code-{'0' * 16}"
+    (state / "digests.json").write_text(json.dumps({other: "0" * 64}))
 
     assert run.main(["--workload", "smoke", "--seed", "1", "--seconds", "0"]) == 0
     result = last_json(capsys.readouterr().out)
@@ -140,11 +157,15 @@ def test_smoke_sobol_m10_end_to_end(tmp_path, monkeypatch, capsys):
     # the DoE is evaluated once per surrogate method
     assert layers["benchmarks.evaluate_rows"]["value"] == 100000 + 2 * 800
     assert "never fired" not in out
-    env = json.loads(out.strip().splitlines()[-2])["environment"]
+    info = json.loads(out.strip().splitlines()[-2])
+    env = info["environment"]
     assert env["blas_threads"] >= 1 and env["seed"] == 1
+    assert info["run"]["studies"] == 1 and info["run"]["wall_s"] > 0
 
-    digests = json.loads((tmp_path / ".studybench" / "digests.json").read_text())
-    assert list(digests) == [f"smoke/seed1/threads{env['blas_threads']}"]
+    digests = json.loads((state / "digests.json").read_text())
+    study = run.study_config(tmp_path, run.WORKLOADS["smoke"])
+    key = f"smoke/seed1/threads{env['blas_threads']}/code-{run.code_digest(tmp_path, study)[:16]}"
+    assert sorted(digests) == sorted([other, key])
 
 
 if __name__ == "__main__":
