@@ -5,6 +5,9 @@ module global or a class attribute) with a wrapper that records a span:
 name, start, end and parent.  Nothing under ``src/`` is edited; the wrapper
 calls the original and returns its result unchanged.
 
+The wrapper also times itself: ``Tracer.overhead_s`` is the time spent in
+wrappers outside the spans they record, the direct cost of tracing.
+
 Per-layer metrics are derived from the spans after the study.  A metric whose
 hook never fired is reported as ``None`` and the hook is listed by name, so a
 refactor that routes around a hook cannot read as a free layer.
@@ -43,6 +46,7 @@ class Tracer:
 
     spans: list[Span] = field(default_factory=list)
     results: dict[str, list] = field(default_factory=dict)
+    overhead_s: float = 0.0
     _stack: list[int] = field(default_factory=list)
 
     def open(self, name: str) -> Span:
@@ -117,15 +121,17 @@ def _resolve_owner(path: str):
 def _wrap(tracer: Tracer, name: str, fn, size, keep):
     @functools.wraps(fn)
     def hooked(*args, **kwargs):
+        entered = time.perf_counter()
+        rows, cols = size(args, kwargs) if size is not None else (0, 0)
         span = tracer.open(name)
-        if size is not None:
-            span.rows, span.cols = size(args, kwargs)
+        span.rows, span.cols = rows, cols
         try:
             out = fn(*args, **kwargs)
         finally:
             tracer.close(span)
         if keep:
             tracer.results.setdefault(name, []).append(out)
+        tracer.overhead_s += time.perf_counter() - entered - span.seconds
         return out
     return hooked
 

@@ -148,10 +148,12 @@ def test_smoke_sobol_m10_end_to_end(tmp_path, monkeypatch, capsys):
                      "--trace", "1"]) == 0
     out = capsys.readouterr().out
     result = last_json(out)
-    assert result["correct"] and result["attempted"] == 2
+    # one traced study, checked against the untraced run's results.csv digest
+    assert result["correct"] and result["attempted"] == 1
     layers = result["metrics"]
     assert set(hooks.LAYER_METRICS) <= set(layers)
     assert all(layers[name]["value"] is not None for name in hooks.LAYER_METRICS)
+    assert 0 < layers["trace.overhead_s"]["value"] < layers["trace.study_s"]["value"]
     assert layers["spce.fit_lar_calls"]["value"] == 2
     assert layers["activesub.rank"]["value"] == 2
     # the DoE is evaluated once per surrogate method

@@ -11,6 +11,7 @@ the study config, optionally installs the span hooks, then calls
     rc         its return code
     peak_rss_mb  ru_maxrss of this process
     layers / unfired  per-layer values and never-fired hooks (with --trace 1)
+    trace_overhead_s  time the hooks spent outside their spans (with --trace 1)
     environment  interpreter, numpy, scipy and OpenBLAS versions
 """
 
@@ -65,6 +66,7 @@ def main() -> int:
         if tracer is not None:
             record["layers"], record["unfired"] = hooks.layer_metrics(
                 tracer, record["study_s"], study["n_train"])
+            record["trace_overhead_s"] = tracer.overhead_s
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     record["environment"] = _environment()
     Path(args.result).write_text(json.dumps(record))
