@@ -84,8 +84,7 @@ def beam_limit_state_values(x: np.ndarray) -> np.ndarray:
 
 
 def beam_state() -> LimitState:
-    return LimitState(name="beam", dim=20, fn=beam_limit_state_values,
-                      cost="cheap")
+    return LimitState(name="beam", dim=20, fn=beam_limit_state_values)
 
 
 def beam_model(truncated: bool = True) -> ProbabilisticModel:

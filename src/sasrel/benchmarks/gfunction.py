@@ -48,7 +48,7 @@ ANALYTIC_PF = 0.35 * math.log(0.7 / 0.5) - 0.1
 def gfunction_state(m: int, b: float = 0.35) -> LimitState:
     a = default_weights(m)
     return LimitState(name=f"sobol-m{m}", dim=m,
-                      fn=lambda x: sobol_g(x, a, b), cost="cheap")
+                      fn=lambda x: sobol_g(x, a, b))
 
 
 def gfunction_model(m: int) -> ProbabilisticModel:

@@ -174,8 +174,7 @@ def truss_state(geometry: TrussGeometry | None = None,
                 u0: float = ALLOWABLE_DISPLACEMENT) -> LimitState:
     geo = geometry if geometry is not None else default_geometry()
     return LimitState(name="truss", dim=8 + geo.elements.shape[0],
-                      fn=lambda x: truss_limit_state_values(x, geo, u0),
-                      cost="moderate")
+                      fn=lambda x: truss_limit_state_values(x, geo, u0))
 
 
 # (name, mean, sd, kind) in input order P1..P7, E, A1..A25

@@ -28,6 +28,7 @@ from .reliability import (
     LimitState,
     PipelineConfig,
     ReliabilityResult,
+    fit_training,
     mcs_probability,
     sas_hpcfe_pipeline,
     spce_only_pipeline,
@@ -35,8 +36,7 @@ from .reliability import (
 
 VALID_METHODS = ("mcs", "spce", "sas-hpcfe")
 
-RESULT_COLUMNS = ("method", "pf", "beta", "n_model_evals", "n_surrogate_evals",
-                  "cov_pf", "r", "seed", "eps_vs_mcs_pct")
+RESULT_COLUMNS = ReliabilityResult.CSV_FIELDS + ("eps_vs_mcs_pct",)
 
 
 class ConfigError(Exception):
@@ -246,7 +246,7 @@ def run_study(cfg: StudyConfig) -> int:
 
     rows: list[dict] = []
     beta_ref = None
-    status = 0
+    training = None  # fitted once, shared by both surrogate methods
     # mcs runs first so the surrogate rows can carry the error column
     ordered = sorted(cfg.methods, key=lambda m: VALID_METHODS.index(m))
     for method in ordered:
@@ -255,10 +255,11 @@ def run_study(cfg: StudyConfig) -> int:
                 res = mcs_probability(state, model, n=cfg.n_mcs, seed=cfg.seed)
                 beta_ref = res.beta
                 artifacts = None
-            elif method == "spce":
-                res, artifacts = spce_only_pipeline(state, model, pipe_cfg)
             else:
-                res, artifacts = sas_hpcfe_pipeline(state, model, pipe_cfg)
+                if training is None:
+                    training = fit_training(state, model, pipe_cfg)
+                pipeline = spce_only_pipeline if method == "spce" else sas_hpcfe_pipeline
+                res, artifacts = pipeline(training, pipe_cfg)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             print(f"error: {method} failed: {exc}", file=sys.stderr)
             _write_results_csv(out / "results.csv", rows)
@@ -269,7 +270,7 @@ def run_study(cfg: StudyConfig) -> int:
             _write_artifacts(out, method, res, artifacts)
         print(f"{method}: pf={res.pf:.6g} beta={res.beta:.4f} "
               f"n_model_evals={res.n_model_evals}")
-    return status
+    return 0
 
 
 def _write_artifacts(out: Path, method: str, res, artifacts) -> None:
@@ -284,7 +285,7 @@ def _write_artifacts(out: Path, method: str, res, artifacts) -> None:
                 writer.writerow([i + 1, repr(float(ev))])
     if artifacts.hpcfe_model is not None:
         (out / f"{tag}_hpcfe_model.json").write_text(artifacts.hpcfe_model.to_json())
-    if artifacts.scatter is not None and artifacts.subspace is not None:
+    if artifacts.scatter is not None:
         n_coord = artifacts.scatter.shape[1] - 1
         with open(out / "reduced_scatter.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -140,26 +140,6 @@ def _check_points(points: np.ndarray, dim: int, check_domain: bool) -> np.ndarra
     return pts
 
 
-def legendre_eval(order: int, t) -> np.ndarray:
-    """Value of the orthonormal Legendre polynomial of the given order at ``t``."""
-    if order < 0:
-        raise ParameterError(f"order must be nonnegative, got {order}")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + _DOMAIN_TOL):
-        raise DomainError("t must lie in [-1, 1]")
-    return legendre_tables(t, order)[..., order]
-
-
-def eval_multibasis(basis: BasisSet, xi) -> np.ndarray:
-    """All basis functions at a single point, as a vector of length cardinality."""
-    return eval_design_matrix(basis, np.asarray(xi, dtype=float)[None, :])[0]
-
-
-def eval_multibasis_grad(basis: BasisSet, xi) -> np.ndarray:
-    """Jacobian (cardinality, dim) of the basis at a single point."""
-    return eval_basis_gradient(basis, np.asarray(xi, dtype=float)[None, :])[0]
-
-
 def eval_design_matrix(basis: BasisSet, points: np.ndarray,
                        check_domain: bool = True) -> np.ndarray:
     """Design matrix ``Phi[i, j] = Phi_{alpha_j}(points[i])`` of shape (n, cardinality)."""

@@ -1,9 +1,11 @@
 """Failure-probability estimation and the reduced-surrogate pipeline.
 
 Failure is the event g(x) < 0 (g = 0 counts as safe).  Direct Monte Carlo
-evaluates the true limit state; the pipeline spends its true-model budget on a
-Sobol design only, then chains sparse expansion -> gradient-based subspace ->
-hybrid surrogate on reduced coordinates -> surrogate Monte Carlo.
+evaluates the true limit state.  ``fit_training`` spends the surrogates'
+true-model budget once, on a Sobol design, and fits a sparse expansion to it;
+the ``spce`` baseline samples that expansion, and ``sas-hpcfe`` chains
+gradient-based subspace -> hybrid surrogate on reduced coordinates ->
+surrogate Monte Carlo.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from . import hpcfe as hp
 from .activesub import fd_cost, subspace_from_surrogate
 from .errors import DimensionError, NumericalError, ParameterError
 from .probspace import ProbabilisticModel, Space, sobol_points, transform, uniform_stream
-from .spce import fit_lar
+from .spce import SparsePceModel, fit_lar
+
+SCATTER_ROWS = 4096  # surrogate Monte-Carlo samples kept for the subspace scatter
 
 
 @dataclass(frozen=True)
@@ -28,13 +32,11 @@ class LimitState:
     """A deterministic performance function; negative values mean failure.
 
     ``fn`` maps a (n, dim) block of physical-space points to n values.
-    ``cost`` is a free-form label for the expense class of one evaluation.
     """
 
     name: str
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
-    cost: str = "cheap"
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -92,13 +94,6 @@ class ReliabilityResult:
     CSV_FIELDS = ("method", "pf", "beta", "n_model_evals", "n_surrogate_evals",
                   "cov_pf", "r", "seed")
 
-    def csv_row(self) -> list[str]:
-        vals = []
-        for name in self.CSV_FIELDS:
-            v = getattr(self, name)
-            vals.append("" if v is None else repr(v) if isinstance(v, float) else str(v))
-        return vals
-
 
 def reliability_index(pf: float) -> float:
     """beta = Phi^{-1}(1 - pf), with signed-infinity sentinels at pf in {0, 1}."""
@@ -117,6 +112,25 @@ def _estimator_cov(pf: float, n: int) -> float:
     return math.sqrt((1.0 - pf) / (n * pf))
 
 
+def _failure_fraction(stream, limit_state_values, what: str) -> float:
+    """Fraction of streamed U(0,1) samples with g < 0.
+
+    ``limit_state_values`` maps one chunk of ``stream`` to its g values; a
+    non-finite value raises instead of counting as safe.
+    """
+    failures = 0
+    done = 0
+    for u in stream:
+        g = np.asarray(limit_state_values(u), dtype=float).reshape(u.shape[0])
+        finite = np.isfinite(g)
+        if not finite.all():
+            raise NumericalError(
+                f"non-finite {what} at sample {done + int(np.argmin(finite))}")
+        failures += int(np.count_nonzero(g < 0.0))
+        done += u.shape[0]
+    return failures / done
+
+
 def mcs_probability(g_eval, model: ProbabilisticModel, n: int, seed: int,
                     method: str = "mcs") -> ReliabilityResult:
     """Direct Monte-Carlo failure probability with the indicator-mean estimator.
@@ -128,18 +142,13 @@ def mcs_probability(g_eval, model: ProbabilisticModel, n: int, seed: int,
     if n < 1:
         raise ParameterError(f"sample size must be positive, got {n}")
     evaluate = g_eval.evaluate if hasattr(g_eval, "evaluate") else g_eval
-    failures = 0
-    done = 0
-    for u in uniform_stream(seed, n, model.dim):
-        x = np.column_stack([m.ppf(u[:, i]) for i, m in enumerate(model.marginals)])
-        g = np.asarray(evaluate(x), dtype=float).reshape(x.shape[0])
-        finite = np.isfinite(g)
-        if not finite.all():
-            raise NumericalError(
-                f"non-finite limit state value at sample {done + int(np.argmin(finite))}")
-        failures += int(np.count_nonzero(g < 0.0))
-        done += x.shape[0]
-    pf = failures / n
+
+    def limit_state_values(u):
+        return evaluate(np.column_stack(
+            [m.ppf(u[:, i]) for i, m in enumerate(model.marginals)]))
+
+    pf = _failure_fraction(uniform_stream(seed, n, model.dim), limit_state_values,
+                           "limit state value")
     return ReliabilityResult(method=method, pf=pf, beta=reliability_index(pf),
                              n_model_evals=n, cov_pf=_estimator_cov(pf, n),
                              seed=seed)
@@ -150,8 +159,8 @@ class PipelineConfig:
     """Settings for the reduced-surrogate pipeline.
 
     ``n_train`` is the entire true-model budget.  ``n_grad_samples`` of None
-    means 10 per input dimension.  The LAR caps bound the regression path on
-    very large candidate sets; None leaves the standard path bound.
+    means 10 per input dimension.  ``lar_max_terms`` caps the regression path
+    on very large candidate sets; None leaves the standard path bound.
     """
 
     n_train: int
@@ -162,8 +171,6 @@ class PipelineConfig:
     hpcfe_config: hp.HpcfeConfig = field(default_factory=hp.HpcfeConfig)
     n_grad_samples: int | None = None
     lar_max_terms: int | None = None
-    lar_patience: int | None = None
-    scatter_rows: int = 4096
 
     def __post_init__(self) -> None:
         if self.n_train < 3:
@@ -175,109 +182,114 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class PipelineArtifacts:
-    """Serialized-ready intermediate models and plot data from one pipeline run."""
+class Training:
+    """The audited Sobol training design and the sparse expansion fitted to it.
 
-    spce_model: object
-    subspace: object
-    hpcfe_model: object
-    fd_gradient_cost: int
-    doe_xi: np.ndarray
-    doe_y: np.ndarray
-    scatter: np.ndarray
+    ``xi`` is the design in [-1, 1]^dim, ``y`` the true limit-state values
+    there, and ``n_model_evals`` the audited count of true-model evaluations.
+    Both surrogate pipelines start from one ``Training``.
+    """
 
-
-def _training_design(limit_state, model: ProbabilisticModel, n_train: int):
-    u = sobol_points(n_train, model.dim)
-    x = transform(u, Space.PHYSICAL, model)
-    y = limit_state.evaluate(x.values)
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("non-finite limit state value in the training design")
-    xi = 2.0 * u.values - 1.0
-    return xi, y
+    model: ProbabilisticModel
+    xi: np.ndarray
+    y: np.ndarray
+    spce_model: SparsePceModel
+    n_model_evals: int
 
 
-def _surrogate_mcs(predict, dim: int, n: int, seed: int, scatter_rows: int,
-                   project=None):
-    failures = 0
-    done = 0
-    scatter = None
-    for u in uniform_stream(seed, n, dim):
-        pts = 2.0 * u - 1.0
-        if project is not None:
-            pts = project(pts)
-        g = np.asarray(predict(pts), dtype=float).reshape(pts.shape[0])
-        if scatter is None:
-            keep = min(scatter_rows, pts.shape[0])
-            scatter = np.column_stack([pts[:keep], (g[:keep] < 0.0).astype(float)])
-        failures += int(np.count_nonzero(g < 0.0))
-        done += pts.shape[0]
-    return failures / n, scatter
+def fit_training(limit_state, model: ProbabilisticModel,
+                 config: PipelineConfig) -> Training:
+    """Spend the true-model budget on a Sobol design and fit LAR to it.
 
-
-def sas_hpcfe_pipeline(limit_state: LimitState, model: ProbabilisticModel,
-                       config: PipelineConfig) -> tuple[ReliabilityResult, PipelineArtifacts]:
-    """Subspace-reduced hybrid-surrogate reliability estimate.
-
-    True-model evaluations happen exactly once, on the Sobol training design;
-    every later stage (gradients, reduced training, Monte Carlo) runs on
-    surrogates.  The audited count is returned in ``n_model_evals``.
+    True-model evaluations happen here only, once per point of the design;
+    every later stage runs on surrogates.
     """
     if limit_state.dim != model.dim:
         raise DimensionError(
             f"limit state has {limit_state.dim} variables, model has {model.dim}")
     counter = CountingLimitState(limit_state)
-    xi, y = _training_design(counter, model, config.n_train)
+    u = sobol_points(config.n_train, model.dim)
+    y = counter.evaluate(transform(u, Space.PHYSICAL, model).values)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("non-finite limit state value in the training design")
+    xi = 2.0 * u.values - 1.0
+    spce_model = fit_lar(xi, y, config.p_max, max_terms=config.lar_max_terms,
+                         input_model=model)
+    return Training(model=model, xi=xi, y=y, spce_model=spce_model,
+                    n_model_evals=counter.n_evals)
 
-    surrogate = fit_lar(xi, y, config.p_max, max_terms=config.lar_max_terms,
-                        patience=config.lar_patience, input_model=model)
 
+@dataclass(frozen=True)
+class PipelineArtifacts:
+    """Serialized-ready intermediate models and plot data from one pipeline run.
+
+    ``scatter`` holds the first ``SCATTER_ROWS`` surrogate Monte-Carlo samples
+    in subspace coordinates, with the surrogate's failure label as last column.
+    """
+
+    spce_model: object
+    subspace: object
+    hpcfe_model: object
+    fd_gradient_cost: int
+    scatter: np.ndarray | None
+
+
+def sas_hpcfe_pipeline(training: Training,
+                       config: PipelineConfig) -> tuple[ReliabilityResult, PipelineArtifacts]:
+    """Subspace-reduced hybrid-surrogate reliability estimate.
+
+    Gradients, reduced training and Monte Carlo all run on surrogates of
+    ``training``, so ``n_model_evals`` is the training design's audited count.
+    """
+    model = training.model
     n_grad = config.n_grad_samples or 10 * model.dim
-    subspace = subspace_from_surrogate(surrogate, config.mu,
+    subspace = subspace_from_surrogate(training.spce_model, config.mu,
                                        n_grad_samples=n_grad,
-                                       skip=config.n_train)
+                                       skip=training.xi.shape[0])
     if subspace.r == model.dim:
         warnings.warn("no dimension reduction: subspace rank equals input dimension",
                       RuntimeWarning)
 
-    z_train = subspace.project(xi)
-    reduced = hp.fit(z_train, y, config.hpcfe_config)
+    reduced = hp.fit(subspace.project(training.xi), training.y, config.hpcfe_config)
 
-    pf, scatter = _surrogate_mcs(reduced.predict_mean, model.dim, config.n_mcs,
-                                 config.seed, config.scatter_rows,
-                                 project=subspace.project)
+    scatter = []
+
+    def predict(u):
+        z = subspace.project(2.0 * u - 1.0)
+        g = reduced.predict_mean(z)
+        if not scatter:
+            scatter.append(np.column_stack(
+                [z[:SCATTER_ROWS], (g[:SCATTER_ROWS] < 0.0).astype(float)]))
+        return g
+
+    pf = _failure_fraction(uniform_stream(config.seed, config.n_mcs, model.dim),
+                           predict, "surrogate prediction")
     result = ReliabilityResult(
         method="sas-hpcfe", pf=pf, beta=reliability_index(pf),
-        n_model_evals=counter.n_evals,
+        n_model_evals=training.n_model_evals,
         n_surrogate_evals=config.n_mcs + n_grad,
         cov_pf=_estimator_cov(pf, config.n_mcs),
         r=subspace.r, seed=config.seed)
     artifacts = PipelineArtifacts(
-        spce_model=surrogate, subspace=subspace, hpcfe_model=reduced,
-        fd_gradient_cost=fd_cost(model.dim, n_grad),
-        doe_xi=xi, doe_y=y, scatter=scatter)
+        spce_model=training.spce_model, subspace=subspace, hpcfe_model=reduced,
+        fd_gradient_cost=fd_cost(model.dim, n_grad), scatter=scatter[0])
     return result, artifacts
 
 
-def spce_only_pipeline(limit_state: LimitState, model: ProbabilisticModel,
+def spce_only_pipeline(training: Training,
                        config: PipelineConfig) -> tuple[ReliabilityResult, PipelineArtifacts]:
-    """Baseline: sparse expansion on the full coordinates, then surrogate MCS."""
-    if limit_state.dim != model.dim:
-        raise DimensionError(
-            f"limit state has {limit_state.dim} variables, model has {model.dim}")
-    counter = CountingLimitState(limit_state)
-    xi, y = _training_design(counter, model, config.n_train)
-    surrogate = fit_lar(xi, y, config.p_max, max_terms=config.lar_max_terms,
-                        patience=config.lar_patience, input_model=model)
-    pf, scatter = _surrogate_mcs(surrogate.predict, model.dim, config.n_mcs,
-                                 config.seed, config.scatter_rows)
+    """Baseline: the training expansion on the full coordinates, then surrogate MCS."""
+    surrogate = training.spce_model
+    pf = _failure_fraction(
+        uniform_stream(config.seed, config.n_mcs, training.model.dim),
+        lambda u: surrogate.predict(2.0 * u - 1.0), "surrogate prediction")
     result = ReliabilityResult(
         method="spce", pf=pf, beta=reliability_index(pf),
-        n_model_evals=counter.n_evals, n_surrogate_evals=config.n_mcs,
+        n_model_evals=training.n_model_evals, n_surrogate_evals=config.n_mcs,
         cov_pf=_estimator_cov(pf, config.n_mcs), seed=config.seed)
     artifacts = PipelineArtifacts(
         spce_model=surrogate, subspace=None, hpcfe_model=None,
-        fd_gradient_cost=0, doe_xi=xi, doe_y=y, scatter=scatter)
+        fd_gradient_cost=0, scatter=None)
     return result, artifacts
 
 

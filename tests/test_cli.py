@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
 
+from sasrel import cli, reliability
 from sasrel.cli import main
+from sasrel.reliability import CountingLimitState
 
 FAST_STUDY = {
     "benchmark": "sobol-m10",
@@ -31,6 +35,17 @@ def get_limit_state():
 def get_model():
     return ProbabilisticModel([Marginal("uniform", 0.0, 1.0)] * 3)
 """
+
+
+def plugin_study(tmp_path, **overrides):
+    """Config for all three methods on the 3-variable plane plugin."""
+    plugin = tmp_path / "plane.py"
+    plugin.write_text(PLUGIN_SOURCE)
+    study = {"plugin": str(plugin), "methods": ["mcs", "spce", "sas-hpcfe"],
+             "n_mcs": 5000, "n_train": 64, "p_max": 2, "n_mcs_surrogate": 5000,
+             "seed": 5, "hpcfe": {"restarts": 1, "nm_max_evals": 40}}
+    study.update(overrides)
+    return study
 
 
 def write_config(tmp_path, overrides=None, base=FAST_STUDY):
@@ -181,6 +196,47 @@ def test_numerical_failure_exits_3_and_keeps_partial_results(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert (tmp_path / "out" / "results.csv").is_file()
+
+
+def test_surrogate_methods_share_one_training_fit(tmp_path, monkeypatch):
+    counters = []
+    resolve = cli._resolve_problem
+
+    def counted_problem(cfg):
+        state, model = resolve(cfg)
+        counters.append(CountingLimitState(state))
+        return counters[-1], model
+
+    lar_fits = []
+    fit_lar = reliability.fit_lar
+
+    def counted_fit_lar(*args, **kwargs):
+        lar_fits.append(1)
+        return fit_lar(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_resolve_problem", counted_problem)
+    monkeypatch.setattr(reliability, "fit_lar", counted_fit_lar)
+    cfg_path, out = write_config(tmp_path, base=plugin_study(tmp_path))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert counters[0].n_evals == 5000 + 64
+    assert len(lar_fits) == 1
+    rows = {r["method"]: r for r in read_results(out)}
+    assert rows["mcs"]["n_model_evals"] == "5000"
+    assert rows["spce"]["n_model_evals"] == "64"
+    assert rows["sas-hpcfe"]["n_model_evals"] == "64"
+
+
+def test_nonfinite_surrogate_prediction_exits_3(tmp_path, capsys, monkeypatch):
+    fit_lar = reliability.fit_lar
+
+    def nan_fit_lar(*args, **kwargs):
+        return dataclasses.replace(fit_lar(*args, **kwargs), intercept=math.nan)
+
+    monkeypatch.setattr(reliability, "fit_lar", nan_fit_lar)
+    cfg_path, out = write_config(tmp_path, base=plugin_study(tmp_path))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "non-finite surrogate prediction" in capsys.readouterr().err
+    assert [r["method"] for r in read_results(out)] == ["mcs"]
 
 
 def test_truncation_flag_reaches_the_model(tmp_path):

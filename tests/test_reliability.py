@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from sasrel.cli import RESULT_COLUMNS, _fmt
 from sasrel.errors import DimensionError, NumericalError, ParameterError
-from sasrel.hpcfe import HpcfeConfig
+from sasrel.hpcfe import HpcfeConfig, HpcfeModel
 from sasrel.probspace import Marginal, ProbabilisticModel, mc_sample
 from sasrel.reliability import (
     ConvergenceTable,
@@ -14,6 +16,7 @@ from sasrel.reliability import (
     PipelineConfig,
     ReliabilityResult,
     convergence_study,
+    fit_training,
     mcs_probability,
     reliability_index,
     sas_hpcfe_pipeline,
@@ -49,10 +52,10 @@ def test_reliability_index_round_trip():
 def test_result_validation_and_csv():
     res = ReliabilityResult(method="mcs", pf=0.1, beta=reliability_index(0.1),
                             n_model_evals=1000, cov_pf=0.09486, seed=7)
-    row = res.csv_row()
-    assert len(row) == len(ReliabilityResult.CSV_FIELDS)
+    row = [_fmt(getattr(res, name)) for name in ReliabilityResult.CSV_FIELDS]
+    assert RESULT_COLUMNS[:len(row)] == ReliabilityResult.CSV_FIELDS
     assert row[0] == "mcs"
-    assert float(row[1]) == 0.1
+    assert row[1] == repr(0.1) and float(row[1]) == 0.1
     assert row[6] == ""  # r not set
     with pytest.raises(ParameterError):
         ReliabilityResult(method="mcs", pf=1.5, beta=0.0, n_model_evals=1)
@@ -138,7 +141,7 @@ def additive_plane_state():
 def test_pipeline_recovers_analytic_pf():
     model = uniform_model(6)
     cfg = cheap_pipeline_config(n_train=64, p_max=2, n_mcs=100_000, seed=5)
-    res, art = sas_hpcfe_pipeline(additive_plane_state(), model, cfg)
+    res, art = sas_hpcfe_pipeline(fit_training(additive_plane_state(), model, cfg), cfg)
     sd = math.sqrt(0.32 * 0.68 / cfg.n_mcs)
     assert abs(res.pf - 0.32) <= 4 * sd
     assert res.r == 1
@@ -159,7 +162,10 @@ def test_pipeline_audits_model_eval_budget():
 
     model = uniform_model(6)
     cfg = cheap_pipeline_config(n_train=48, p_max=2, n_mcs=2000, seed=1)
-    res, _ = sas_hpcfe_pipeline(LimitState("plane6", 6, g), model, cfg)
+    training = fit_training(LimitState("plane6", 6, g), model, cfg)
+    assert calls["n"] == 48
+    assert training.n_model_evals == 48
+    res, _ = sas_hpcfe_pipeline(training, cfg)
     assert calls["n"] == 48
     assert res.n_model_evals == 48
 
@@ -167,7 +173,7 @@ def test_pipeline_audits_model_eval_budget():
 def test_spce_only_pipeline():
     model = uniform_model(6)
     cfg = cheap_pipeline_config(n_train=64, p_max=2, n_mcs=100_000, seed=9)
-    res, art = spce_only_pipeline(additive_plane_state(), model, cfg)
+    res, art = spce_only_pipeline(fit_training(additive_plane_state(), model, cfg), cfg)
     sd = math.sqrt(0.32 * 0.68 / cfg.n_mcs)
     assert abs(res.pf - 0.32) <= 4 * sd
     assert res.method == "spce"
@@ -184,7 +190,7 @@ def test_pipeline_rank_grows_with_threshold():
     ranks = []
     for mu in (0.6, 0.999):
         cfg = cheap_pipeline_config(n_train=40, p_max=2, n_mcs=1000, seed=2, mu=mu)
-        res, _ = sas_hpcfe_pipeline(ls, model, cfg)
+        res, _ = sas_hpcfe_pipeline(fit_training(ls, model, cfg), cfg)
         ranks.append(res.r)
     assert ranks[0] <= ranks[1]
 
@@ -194,8 +200,9 @@ def test_pipeline_warns_when_rank_equals_dimension():
     ls = LimitState("bowl", 3, lambda x: ((x - 0.5) ** 2).sum(axis=1) - 0.2)
     model = uniform_model(3)
     cfg = cheap_pipeline_config(n_train=40, p_max=2, n_mcs=1000, seed=4, mu=0.999)
+    training = fit_training(ls, model, cfg)
     with pytest.warns(RuntimeWarning, match="no dimension reduction"):
-        res, _ = sas_hpcfe_pipeline(ls, model, cfg)
+        res, _ = sas_hpcfe_pipeline(training, cfg)
     assert res.r == 3
 
 
@@ -203,9 +210,25 @@ def test_pipeline_dimension_mismatch():
     model = uniform_model(5)
     cfg = cheap_pipeline_config(n_train=32, p_max=1, n_mcs=100)
     with pytest.raises(DimensionError):
-        sas_hpcfe_pipeline(additive_plane_state(), model, cfg)
-    with pytest.raises(DimensionError):
-        spce_only_pipeline(additive_plane_state(), model, cfg)
+        fit_training(additive_plane_state(), model, cfg)
+
+
+def test_pipelines_reject_nonfinite_surrogate_prediction(monkeypatch):
+    model = uniform_model(6)
+    cfg = cheap_pipeline_config(n_train=48, p_max=2, n_mcs=2000, seed=1)
+    training = fit_training(additive_plane_state(), model, cfg)
+    nan_spce = dataclasses.replace(training.spce_model, intercept=math.nan)
+    with pytest.raises(NumericalError, match="non-finite surrogate prediction at sample 0"):
+        spce_only_pipeline(dataclasses.replace(training, spce_model=nan_spce), cfg)
+
+    def predict_mean(self, z):
+        out = np.ones(len(z))
+        out[5] = np.inf
+        return out
+
+    monkeypatch.setattr(HpcfeModel, "predict_mean", predict_mean)
+    with pytest.raises(NumericalError, match="non-finite surrogate prediction at sample 5"):
+        sas_hpcfe_pipeline(training, cfg)
 
 
 def test_pipeline_config_validation():
