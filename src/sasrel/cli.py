@@ -258,6 +258,7 @@ def run_study(cfg: StudyConfig) -> int:
             else:
                 if training is None:
                     training = fit_training(state, model, pipe_cfg)
+                    (out / "spce_model.json").write_text(training.spce_model.to_json())
                 pipeline = spce_only_pipeline if method == "spce" else sas_hpcfe_pipeline
                 res, artifacts = pipeline(training, pipe_cfg)
         except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -275,7 +276,6 @@ def run_study(cfg: StudyConfig) -> int:
 
 def _write_artifacts(out: Path, method: str, res, artifacts) -> None:
     tag = method.replace("-", "_")
-    (out / f"{tag}_spce_model.json").write_text(artifacts.spce_model.to_json())
     if artifacts.subspace is not None:
         (out / f"{tag}_subspace.json").write_text(artifacts.subspace.to_json())
         with open(out / "eigenvalues.csv", "w", newline="") as fh:

@@ -9,6 +9,7 @@ truncated by total degree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,24 +37,38 @@ def legendre_tables(t: np.ndarray, degree: int, derivatives: bool = False):
         Array of shape ``t.shape + (degree + 1,)``, or a tuple of two such
         arrays when ``derivatives`` is set.
     """
+    tables = _tabulate(np.asarray(t, dtype=float)[..., None], degree, derivatives)
+    if not derivatives:
+        return tables[..., 0]
+    return tables[0][..., 0], tables[1][..., 0]
+
+
+def _tabulate(t: np.ndarray, degree: int, derivatives: bool = False):
+    # The degree axis goes second to last: shape t.shape[:-1] + (degree + 1,)
+    # + t.shape[-1:], so each (coordinate, degree) row over the last axis of
+    # t is contiguous.
     if degree < 0:
         raise ParameterError(f"degree must be nonnegative, got {degree}")
-    t = np.asarray(t, dtype=float)
-    P = np.empty(t.shape + (degree + 1,))
-    P[..., 0] = 1.0
+    P = np.empty(t.shape[:-1] + (degree + 1,) + t.shape[-1:])
+    P[..., 0, :] = 1.0
     if degree >= 1:
-        P[..., 1] = t
+        P[..., 1, :] = t
     for k in range(1, degree):
-        P[..., k + 1] = ((2 * k + 1) * t * P[..., k] - k * P[..., k - 1]) / (k + 1)
-    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+        P[..., k + 1, :] = ((2 * k + 1) * t * P[..., k, :]
+                            - k * P[..., k - 1, :]) / (k + 1)
+    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]
     if not derivatives:
-        return P * scale
+        P *= scale
+        return P
     D = np.zeros_like(P)
     if degree >= 1:
-        D[..., 1] = 1.0
+        D[..., 1, :] = 1.0
     for k in range(1, degree):
-        D[..., k + 1] = D[..., k - 1] + (2 * k + 1) * P[..., k]
-    return P * scale, D * scale
+        D[..., k + 1, :] = D[..., k - 1, :] + (2 * k + 1) * P[..., k, :]
+    # the D recurrence reads the unscaled P, so scale only now
+    P *= scale
+    D *= scale
+    return P, D
 
 
 @lru_cache(maxsize=64)
@@ -62,28 +77,27 @@ def total_degree_indices(dim: int, degree: int) -> np.ndarray:
 
     Within each total degree the leftmost coordinate dominates, so for two
     dimensions the order is (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...
+    That is the order of the key ``(sum(alpha), tuple(-a for a in alpha))``.
     The result is cached and returned read-only.
     """
     if dim < 1:
         raise ParameterError(f"dim must be positive, got {dim}")
     if degree < 0:
         raise ParameterError(f"degree must be nonnegative, got {degree}")
-    rows = []
+    blocks = []
     for q in range(degree + 1):
-        rows.extend(_compositions(q, dim))
-    out = np.array(rows, dtype=np.int64)
+        # A degree-q index is a multiset of q coordinates; listing the
+        # multisets as sorted tuples in lexicographic order puts the index
+        # with more weight on the leftmost coordinate first.
+        picks = np.array(list(itertools.combinations_with_replacement(range(dim), q)),
+                         dtype=np.int64)
+        block = np.zeros((picks.shape[0], dim), dtype=np.int64)
+        rows = np.arange(picks.shape[0])
+        for s in range(q):
+            block[rows, picks[:, s]] += 1
+        blocks.append(block)
+    out = np.concatenate(blocks)
     out.setflags(write=False)
-    return out
-
-
-def _compositions(total: int, dim: int) -> list[tuple[int, ...]]:
-    # dim-tuples of nonnegative integers summing to total, first entry largest.
-    if dim == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, dim - 1):
-            out.append((first,) + rest)
     return out
 
 
@@ -142,15 +156,35 @@ def _check_points(points: np.ndarray, dim: int, check_domain: bool) -> np.ndarra
 
 def eval_design_matrix(basis: BasisSet, points: np.ndarray,
                        check_domain: bool = True) -> np.ndarray:
-    """Design matrix ``Phi[i, j] = Phi_{alpha_j}(points[i])`` of shape (n, cardinality)."""
+    """Design matrix ``Phi[i, j] = Phi_{alpha_j}(points[i])`` of shape (n, cardinality).
+
+    Column ``j`` is the product of the univariate factors of the nonzero
+    entries of ``alpha_j`` only, taken in ascending coordinate order; a zero
+    row gives a column of ones.  The factors dropped are ``psi_0 = 1.0``
+    exactly, so the work is proportional to the number of nonzero exponents,
+    not to cardinality times dimension.
+    """
     pts = _check_points(points, basis.dim, check_domain)
-    tables = legendre_tables(pts, basis.max_degree)  # (n, dim, deg+1)
-    out = np.ones((pts.shape[0], basis.cardinality))
-    for d in range(basis.dim):
-        col = basis.indices[:, d]
-        if col.any():
-            out *= tables[:, d, col]
-    return out
+    n, card = pts.shape[0], basis.cardinality
+    idx = basis.indices
+    used = np.flatnonzero(idx.any(axis=0))
+    deg = basis.max_degree
+    # one row of n values per (used coordinate u, degree a): row u * (deg + 1) + a
+    table = _tabulate(np.ascontiguousarray(pts[:, used].T), deg).reshape(
+        used.size * (deg + 1), n)
+    # row-major nonzeros list each column's factors in ascending coordinate order
+    cols, u = np.nonzero(idx[:, used])
+    factor = u * (deg + 1) + idx[cols, used[u]]
+    count = np.bincount(cols, minlength=card)
+    first = np.cumsum(count) - count
+    out = np.ones((card, n))
+    for k in np.unique(count[count > 0]):
+        sel = np.flatnonzero(count == k)
+        prod = table[factor[first[sel]]]
+        for s in range(1, k):
+            prod *= table[factor[first[sel] + s]]
+        out[sel] = prod
+    return out.T.copy()
 
 
 def eval_basis_gradient(basis: BasisSet, points: np.ndarray,

@@ -227,7 +227,6 @@ class PipelineArtifacts:
     in subspace coordinates, with the surrogate's failure label as last column.
     """
 
-    spce_model: object
     subspace: object
     hpcfe_model: object
     fd_gradient_cost: int
@@ -271,7 +270,7 @@ def sas_hpcfe_pipeline(training: Training,
         cov_pf=_estimator_cov(pf, config.n_mcs),
         r=subspace.r, seed=config.seed)
     artifacts = PipelineArtifacts(
-        spce_model=training.spce_model, subspace=subspace, hpcfe_model=reduced,
+        subspace=subspace, hpcfe_model=reduced,
         fd_gradient_cost=fd_cost(model.dim, n_grad), scatter=scatter[0])
     return result, artifacts
 
@@ -287,9 +286,8 @@ def spce_only_pipeline(training: Training,
         method="spce", pf=pf, beta=reliability_index(pf),
         n_model_evals=training.n_model_evals, n_surrogate_evals=config.n_mcs,
         cov_pf=_estimator_cov(pf, config.n_mcs), seed=config.seed)
-    artifacts = PipelineArtifacts(
-        spce_model=surrogate, subspace=None, hpcfe_model=None,
-        fd_gradient_cost=0, scatter=None)
+    artifacts = PipelineArtifacts(subspace=None, hpcfe_model=None,
+                                  fd_gradient_cost=0, scatter=None)
     return result, artifacts
 
 

@@ -74,10 +74,12 @@ def test_run_writes_results_and_artifacts(tmp_path):
     assert int(mcs["n_model_evals"]) == 20000
     assert int(sas["n_model_evals"]) == 250
     assert int(sas["r"]) >= 1
-    for name in ("eigenvalues.csv", "reduced_scatter.csv",
-                 "sas_hpcfe_spce_model.json", "sas_hpcfe_subspace.json",
-                 "sas_hpcfe_hpcfe_model.json", "spce_spce_model.json"):
+    for name in ("eigenvalues.csv", "reduced_scatter.csv", "spce_model.json",
+                 "sas_hpcfe_subspace.json", "sas_hpcfe_hpcfe_model.json"):
         assert (tmp_path / "out" / name).is_file(), name
+    # the shared expansion is written once, not once per surrogate method
+    assert sorted(p.name for p in (tmp_path / "out").glob("*spce_model.json")) == [
+        "spce_model.json"]
 
 
 def test_error_column_matches_mcs_reference(tmp_path):
@@ -95,9 +97,8 @@ def test_rerun_is_byte_identical(tmp_path):
     cfg_path, _ = write_config(tmp_path, {"methods": ["mcs", "spce"]})
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
-    a = (tmp_path / "a" / "results.csv").read_bytes()
-    b = (tmp_path / "b" / "results.csv").read_bytes()
-    assert a == b
+    for name in ("results.csv", "spce_model.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_seed_override_changes_estimate(tmp_path):
@@ -118,6 +119,7 @@ def test_eigenvalue_table_is_full_spectrum(tmp_path):
     with open(f"{out}/eigenvalues.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
+    assert (tmp_path / "out" / "spce_model.json").is_file()
     values = [float(r["eigenvalue"]) for r in rows]
     assert values == sorted(values, reverse=True)
     # symmetric eigensolve round-off can leave tiny negative tail values

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.special import eval_legendre
 
 from sasrel.errors import DimensionError, DomainError, ParameterError
+from sasrel.hpcfe import HpcfeConfig, build_design_matrix
 from sasrel.polybasis import (
     BasisSet,
     basis_cardinality,
@@ -74,6 +76,65 @@ def test_graded_lex_is_graded_and_lexicographic():
             diff = a - b
             first = diff[diff != 0][0]
             assert first > 0  # leftmost coordinate dominates
+
+
+def test_total_degree_indices_match_brute_force():
+    for dim in range(1, 7):
+        for degree in range(5):
+            rows = [a for a in itertools.product(range(degree + 1), repeat=dim)
+                    if sum(a) <= degree]
+            rows.sort(key=lambda a: (sum(a), tuple(-x for x in a)))
+            idx = total_degree_indices(dim, degree)
+            assert idx.tolist() == [list(a) for a in rows], (dim, degree)
+            assert idx.dtype == np.int64
+            assert not idx.flags.writeable
+
+
+def dense_design(basis, points):
+    """Reference: every column takes a factor from every coordinate any row uses."""
+    tables = legendre_tables(points, basis.max_degree)
+    out = np.ones((points.shape[0], basis.cardinality))
+    for d in range(basis.dim):
+        col = basis.indices[:, d]
+        if col.any():
+            out *= tables[:, d, col]
+    return out
+
+
+def _subset_20_4():
+    idx = total_degree_indices(20, 4)
+    rows = np.random.default_rng(4).choice(len(idx), 50, replace=False)
+    return BasisSet(idx[rows]), np.random.default_rng(5).uniform(-1.0, 1.0, (40, 20))
+
+
+def _trend_r3_b5():
+    z = np.random.default_rng(6).uniform(-1.4, 1.4, (64, 3))
+    _, basis_map = build_design_matrix(z, HpcfeConfig(M=2, b=5))
+    return BasisSet(basis_map), z
+
+
+DESIGN_CASES = {
+    "total-degree-100-2": lambda: (
+        BasisSet.total_degree(100, 2),
+        np.random.default_rng(3).uniform(-1.0, 1.0, (64, 100))),
+    "subset-20-4": _subset_20_4,
+    "trend-r3-b5-outside": _trend_r3_b5,
+    "zero-rows": lambda: (
+        BasisSet(np.empty((0, 4), dtype=np.int64)), np.zeros((5, 4))),
+    "constant-only": lambda: (
+        BasisSet(np.zeros((1, 3), dtype=np.int64)),
+        np.random.default_rng(7).uniform(-1.0, 1.0, (6, 3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESIGN_CASES))
+def test_design_matrix_equals_dense_reference_bitwise(case):
+    basis, pts = DESIGN_CASES[case]()
+    phi = eval_design_matrix(basis, pts, check_domain=False)
+    assert phi.dtype == np.float64
+    assert phi.shape == (pts.shape[0], basis.cardinality)
+    assert phi.flags.c_contiguous
+    assert phi.tobytes() == dense_design(basis, pts).tobytes()
 
 
 def test_design_matrix_tensor_product():
