@@ -14,7 +14,7 @@ import importlib.util
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -120,14 +120,11 @@ class StudyConfig:
         if "hpcfe" in raw:
             if not isinstance(raw["hpcfe"], dict):
                 raise ConfigError(f"{path}: 'hpcfe' must be an object")
-            allowed = {"M", "b", "kernel", "nugget", "theta_bounds", "restarts",
-                       "nm_max_evals"}
-            extra = set(raw["hpcfe"]) - allowed
+            extra = set(raw["hpcfe"]) - {f.name for f in fields(HpcfeConfig)}
             if extra:
                 raise ConfigError(
                     f"{path}: unknown hpcfe keys: {', '.join(sorted(extra))}")
-            merged = {k: getattr(hp_cfg, k) for k in allowed}
-            merged.update(raw["hpcfe"])
+            merged = {**asdict(hp_cfg), **raw["hpcfe"]}
             merged["theta_bounds"] = tuple(merged["theta_bounds"])
             try:
                 hp_cfg = HpcfeConfig(**merged)
@@ -250,17 +247,19 @@ def run_study(cfg: StudyConfig) -> int:
     # mcs runs first so the surrogate rows can carry the error column
     ordered = sorted(cfg.methods, key=lambda m: VALID_METHODS.index(m))
     for method in ordered:
+        artifacts = None  # only sas-hpcfe has intermediate models to write
         try:
             if method == "mcs":
                 res = mcs_probability(state, model, n=cfg.n_mcs, seed=cfg.seed)
                 beta_ref = res.beta
-                artifacts = None
             else:
                 if training is None:
                     training = fit_training(state, model, pipe_cfg)
                     (out / "spce_model.json").write_text(training.spce_model.to_json())
-                pipeline = spce_only_pipeline if method == "spce" else sas_hpcfe_pipeline
-                res, artifacts = pipeline(training, pipe_cfg)
+                if method == "spce":
+                    res = spce_only_pipeline(training, pipe_cfg)
+                else:
+                    res, artifacts = sas_hpcfe_pipeline(training, pipe_cfg)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             print(f"error: {method} failed: {exc}", file=sys.stderr)
             _write_results_csv(out / "results.csv", rows)
@@ -268,31 +267,28 @@ def run_study(cfg: StudyConfig) -> int:
         rows.append(_result_row(res, beta_ref))
         _write_results_csv(out / "results.csv", rows)
         if artifacts is not None:
-            _write_artifacts(out, method, res, artifacts)
+            _write_artifacts(out, artifacts)
         print(f"{method}: pf={res.pf:.6g} beta={res.beta:.4f} "
               f"n_model_evals={res.n_model_evals}")
     return 0
 
 
-def _write_artifacts(out: Path, method: str, res, artifacts) -> None:
-    tag = method.replace("-", "_")
-    if artifacts.subspace is not None:
-        (out / f"{tag}_subspace.json").write_text(artifacts.subspace.to_json())
-        with open(out / "eigenvalues.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "eigenvalue"])
-            for i, ev in enumerate(artifacts.subspace.eigenvalues):
-                writer.writerow([i + 1, repr(float(ev))])
-    if artifacts.hpcfe_model is not None:
-        (out / f"{tag}_hpcfe_model.json").write_text(artifacts.hpcfe_model.to_json())
-    if artifacts.scatter is not None:
-        n_coord = artifacts.scatter.shape[1] - 1
-        with open(out / "reduced_scatter.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"z{i + 1}" for i in range(n_coord)] + ["failed"])
-            for row in artifacts.scatter:
-                writer.writerow([repr(float(v)) for v in row[:-1]]
-                                + [str(int(row[-1]))])
+def _write_artifacts(out: Path, artifacts) -> None:
+    """The subspace, spectrum, reduced surrogate and scatter of ``sas-hpcfe``."""
+    (out / "sas_hpcfe_subspace.json").write_text(artifacts.subspace.to_json())
+    with open(out / "eigenvalues.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "eigenvalue"])
+        for i, ev in enumerate(artifacts.subspace.eigenvalues):
+            writer.writerow([i + 1, repr(float(ev))])
+    (out / "sas_hpcfe_hpcfe_model.json").write_text(artifacts.hpcfe_model.to_json())
+    n_coord = artifacts.scatter.shape[1] - 1
+    with open(out / "reduced_scatter.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"z{i + 1}" for i in range(n_coord)] + ["failed"])
+        for row in artifacts.scatter:
+            writer.writerow([repr(float(v)) for v in row[:-1]]
+                            + [str(int(row[-1]))])
 
 
 def report(results_dir: str) -> int:

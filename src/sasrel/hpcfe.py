@@ -3,10 +3,9 @@
 The trend is a hierarchical expansion over component functions of at most M
 variables, each carrying univariate orthonormal Legendre factors up to degree
 b, with redundant columns across component functions removed.  The trend
-coefficient system is typically underdetermined and solved by a null-space
-(homotopy) construction.  A zero-mean Gaussian process with an anisotropic
-squared-exponential kernel interpolates the trend residual; its length scales
-are found by multi-start maximum likelihood.
+coefficients come from a minimum-norm GLS trend solve.  A zero-mean Gaussian
+process with an anisotropic squared-exponential kernel interpolates the trend
+residual; its length scales are found by multi-start maximum likelihood.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
@@ -28,7 +26,6 @@ from .polybasis import BasisSet, eval_design_matrix
 from .probspace import sobol_points
 
 _NUGGET_RETRIES = 3
-_SV_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class HpcfeConfig:
 
     M: int = 2
     b: int = 3
-    kernel: str = "anisotropic-squared-exponential"
     nugget: float = 1e-8
     theta_bounds: tuple[float, float] = (1e-2, 1e2)
     restarts: int = 8
@@ -56,8 +52,6 @@ class HpcfeConfig:
         lo, hi = self.theta_bounds
         if not 0.0 < lo < hi:
             raise ParameterError("length-scale bounds must be positive and ordered")
-        if self.kernel != "anisotropic-squared-exponential":
-            raise ParameterError(f"unsupported kernel {self.kernel!r}")
         if self.restarts < 1:
             raise ParameterError("need at least one optimizer start")
 
@@ -123,46 +117,18 @@ def _chol_with_retries(z: np.ndarray, theta: np.ndarray, nugget: float,
         f"correlation matrix not positive definite with nugget up to {eff / 10:.1e}")
 
 
-def homotopy_solve(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Solve A alpha = B, selecting among solutions by a null-space criterion.
+def homotopy_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of the square trend system A alpha = B.
 
-    Starts from the pseudo-inverse solution alpha0.  The null-space projector
-    P = I - A^+ A is combined with the weight matrix through an SVD of P W;
-    the trailing singular blocks U2, V2 (numerical rank cut at 1e-10 of the
-    largest singular value) give alpha = V2 (U2^T V2)^{-1} U2^T alpha0, which
-    still satisfies the original system.  With W = identity this reduces to
-    alpha0 itself (minimum-norm solution).
+    This is the pseudo-inverse solution A^+ B: the homotopy selection with an
+    identity weight, and the exact solution whenever A has full rank.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     q = a.shape[0]
     if a.shape != (q, q) or b.shape[0] != q:
         raise DimensionError(f"system shapes {a.shape}, {b.shape} are inconsistent")
-    if w is None:
-        w = np.eye(q)
-    a_pinv = np.linalg.pinv(a)
-    alpha0 = a_pinv @ b
-    if np.linalg.matrix_rank(a) == q:
-        # empty null space; P W below would be pure round-off
-        return alpha0
-    p = np.eye(q) - a_pinv @ a
-    pw = p @ w
-    try:
-        u, s, vt = np.linalg.svd(pw)
-    except np.linalg.LinAlgError:
-        # divide-and-conquer can fail to converge; gesvd is slower but robust
-        u, s, vt = scipy.linalg.svd(pw, lapack_driver="gesvd")
-    rank = int(np.sum(s > _SV_RANK_TOL * (s[0] if s.size else 0.0)))
-    if rank == 0:
-        return alpha0
-    u2, v2 = u[:, rank:], vt.T[:, rank:]
-    m = u2.T @ v2
-    det_scale = np.linalg.cond(m) if m.size else np.inf
-    if not np.isfinite(det_scale) or det_scale > 1e12:
-        warnings.warn("homotopy block singular; keeping the pseudo-inverse solution",
-                      RuntimeWarning)
-        return alpha0
-    return v2 @ np.linalg.solve(m, u2.T @ alpha0)
+    return np.linalg.pinv(a) @ b
 
 
 @dataclass
@@ -206,7 +172,6 @@ class HpcfeModel:
         self._chol, _ = _chol_with_retries(zs, self.theta, self.nugget)
         self._zs = zs
         psi = eval_design_matrix(BasisSet(self.basis_map), zs, check_domain=False)
-        self._psi = psi
         self._x = solve_triangular(self._chol, psi, lower=True)
         resid = self.d - psi @ self.alpha
         self._w_resid = cho_solve((self._chol, True), resid)
@@ -223,22 +188,21 @@ class HpcfeModel:
                 f"points have {z.shape[1]} coordinates, model has {self.box_lo.shape[0]}")
         return 2.0 * (z - self.box_lo) / (self.box_hi - self.box_lo) - 1.0
 
-    def _prepare(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _prepare(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         zs = self._rescale(z)
         if np.any(np.abs(zs) > 1.0 + 1e-12):
             self.saw_extrapolation = True
         phi = eval_design_matrix(BasisSet(self.basis_map), zs, check_domain=False)
-        k = _kernel_cross(zs, self._zs, self.theta)
-        return zs, phi, k
+        return phi, _kernel_cross(zs, self._zs, self.theta)
 
     def predict_mean(self, z: np.ndarray) -> np.ndarray:
         """Predictive mean at reduced-space points; shape (n,)."""
-        _, phi, k = self._prepare(z)
+        phi, k = self._prepare(z)
         return self.g0 + phi @ self.alpha + k @ self._w_resid
 
     def predict_variance(self, z: np.ndarray) -> np.ndarray:
         """Universal-kriging predictive variance at reduced-space points; >= 0."""
-        _, phi, k = self._prepare(z)
+        phi, k = self._prepare(z)
         lk = solve_triangular(self._chol, k.T, lower=True)
         quad_sk = np.einsum("ij,ij->j", lk, lk)
         u = self._x.T @ lk - phi.T
@@ -247,10 +211,7 @@ class HpcfeModel:
 
     def to_json(self) -> str:
         return json.dumps({
-            "config": {"M": self.config.M, "b": self.config.b,
-                       "kernel": self.config.kernel, "nugget": self.config.nugget,
-                       "theta_bounds": list(self.config.theta_bounds),
-                       "restarts": self.config.restarts},
+            "config": asdict(self.config),
             "g0": self.g0,
             "basis_map": self.basis_map.tolist(),
             "alpha": self.alpha.tolist(),
@@ -266,12 +227,9 @@ class HpcfeModel:
     @classmethod
     def from_json(cls, text: str) -> "HpcfeModel":
         doc = json.loads(text)
-        cfg = doc["config"]
+        cfg = {**doc["config"], "theta_bounds": tuple(doc["config"]["theta_bounds"])}
         return cls(
-            config=HpcfeConfig(M=cfg["M"], b=cfg["b"], kernel=cfg["kernel"],
-                               nugget=cfg["nugget"],
-                               theta_bounds=tuple(cfg["theta_bounds"]),
-                               restarts=cfg["restarts"]),
+            config=HpcfeConfig(**cfg),
             g0=doc["g0"], alpha=np.asarray(doc["alpha"]),
             theta=np.asarray(doc["theta"]), sigma2=doc["sigma2"],
             z_train=np.asarray(doc["Z_train"]), d=np.asarray(doc["d"]),
@@ -280,42 +238,22 @@ class HpcfeModel:
             nugget=doc["nugget_effective"], fit_notes=tuple(doc["fit_notes"]))
 
 
-def _profile_likelihood(zs: np.ndarray, d: np.ndarray, psi: np.ndarray,
-                        theta: np.ndarray, nugget: float, var_floor: float,
-                        notes: list[str] | None = None):
-    """Concentrated log-likelihood and trend solve at fixed length scales."""
-    n = zs.shape[0]
-    chol, eff = _chol_with_retries(zs, theta, nugget, notes)
-    x = solve_triangular(chol, psi, lower=True)
-    ld = solve_triangular(chol, d, lower=True)
-    alpha = homotopy_solve(x.T @ x, x.T @ ld)
-    lresid = solve_triangular(chol, d - psi @ alpha, lower=True)
-    sigma2 = float(lresid @ lresid) / n
-    ll = -0.5 * n * math.log(max(sigma2, var_floor)) \
-        - float(np.sum(np.log(np.diag(chol))))
-    return ll, alpha, sigma2, eff
+@dataclass(frozen=True)
+class _TrainingData:
+    """Validated training set: rescale box, centred responses, trend design."""
+
+    z: np.ndarray
+    zs: np.ndarray
+    box_lo: np.ndarray
+    box_hi: np.ndarray
+    g0: float
+    d: np.ndarray
+    psi: np.ndarray
+    basis_map: np.ndarray
+    var_floor: float
 
 
-def fit_fixed_theta(z: np.ndarray, y: np.ndarray, theta: np.ndarray,
-                    config: HpcfeConfig = HpcfeConfig()) -> HpcfeModel:
-    """Fit trend and process variance with length scales held fixed."""
-    z, y, box_lo, box_hi = _validate_training(z, y)
-    zs = 2.0 * (z - box_lo) / (box_hi - box_lo) - 1.0
-    g0 = float(y.mean())
-    d = y - g0
-    psi, basis_map = build_design_matrix(zs, config)
-    var_floor = max(float(np.var(y)), 1e-30) * 1e-16
-    notes: list[str] = []
-    _, alpha, sigma2, eff = _profile_likelihood(
-        zs, d, psi, np.asarray(theta, dtype=float), config.nugget, var_floor, notes)
-    return HpcfeModel(config=config, g0=g0, alpha=alpha,
-                      theta=np.asarray(theta, dtype=float), sigma2=sigma2,
-                      z_train=z, d=d, basis_map=basis_map,
-                      box_lo=box_lo, box_hi=box_hi, nugget=eff,
-                      fit_notes=tuple(notes))
-
-
-def _validate_training(z: np.ndarray, y: np.ndarray):
+def _training_data(z: np.ndarray, y: np.ndarray, config: HpcfeConfig) -> _TrainingData:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if z.shape[0] != y.shape[0]:
@@ -328,7 +266,44 @@ def _validate_training(z: np.ndarray, y: np.ndarray):
     span = np.where(span > 0.0, span, 1.0)  # flat coordinates keep unit span
     box_lo = z.min(axis=0) - 0.025 * span
     box_hi = z.max(axis=0) + 0.025 * span
-    return z, y, box_lo, box_hi
+    zs = 2.0 * (z - box_lo) / (box_hi - box_lo) - 1.0
+    g0 = float(y.mean())
+    psi, basis_map = build_design_matrix(zs, config)
+    return _TrainingData(z=z, zs=zs, box_lo=box_lo, box_hi=box_hi, g0=g0, d=y - g0,
+                         psi=psi, basis_map=basis_map,
+                         var_floor=max(float(np.var(y)), 1e-30) * 1e-16)
+
+
+def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float,
+                        notes: list[str] | None = None):
+    """Concentrated log-likelihood and trend solve at fixed length scales."""
+    n = data.zs.shape[0]
+    chol, eff = _chol_with_retries(data.zs, theta, nugget, notes)
+    x = solve_triangular(chol, data.psi, lower=True)
+    ld = solve_triangular(chol, data.d, lower=True)
+    alpha = homotopy_solve(x.T @ x, x.T @ ld)
+    lresid = solve_triangular(chol, data.d - data.psi @ alpha, lower=True)
+    sigma2 = float(lresid @ lresid) / n
+    ll = -0.5 * n * math.log(max(sigma2, data.var_floor)) \
+        - float(np.sum(np.log(np.diag(chol))))
+    return ll, alpha, sigma2, eff
+
+
+def _assemble(data: _TrainingData, theta: np.ndarray, config: HpcfeConfig,
+              notes: list[str]) -> HpcfeModel:
+    """The fitted model at the given length scales; fit notes are appended."""
+    _, alpha, sigma2, eff = _profile_likelihood(data, theta, config.nugget, notes)
+    return HpcfeModel(config=config, g0=data.g0, alpha=alpha, theta=theta,
+                      sigma2=sigma2, z_train=data.z, d=data.d,
+                      basis_map=data.basis_map, box_lo=data.box_lo,
+                      box_hi=data.box_hi, nugget=eff, fit_notes=tuple(notes))
+
+
+def fit_fixed_theta(z: np.ndarray, y: np.ndarray, theta: np.ndarray,
+                    config: HpcfeConfig = HpcfeConfig()) -> HpcfeModel:
+    """Fit trend and process variance with length scales held fixed."""
+    return _assemble(_training_data(z, y, config), np.asarray(theta, dtype=float),
+                     config, [])
 
 
 def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> HpcfeModel:
@@ -340,25 +315,17 @@ def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> Hp
     concentrated log-likelihood over Sobol-spread multi-starts in log space;
     best candidate by likelihood, then lexicographic theta.
     """
-    z, y, box_lo, box_hi = _validate_training(z, y)
-    zs = 2.0 * (z - box_lo) / (box_hi - box_lo) - 1.0
-    r = z.shape[1]
-    g0 = float(y.mean())
-    d = y - g0
-    psi, basis_map = build_design_matrix(zs, config)
-    var_floor = max(float(np.var(y)), 1e-30) * 1e-16
-
+    data = _training_data(z, y, config)
+    r = data.z.shape[1]
     lo, hi = config.theta_bounds
     log_lo, log_hi = math.log10(lo), math.log10(hi)
     starts = log_lo + (log_hi - log_lo) * sobol_points(config.restarts, r).values
     max_evals = config.nm_max_evals or (60 + 40 * r)
-    notes: list[str] = []
 
     def neg_ll(log_theta: np.ndarray) -> float:
         theta = 10.0 ** np.asarray(log_theta, dtype=float)
         try:
-            ll, _, _, _ = _profile_likelihood(zs, d, psi, theta, config.nugget,
-                                              var_floor)
+            ll, _, _, _ = _profile_likelihood(data, theta, config.nugget)
         except NumericalError:
             return math.inf
         return -ll if math.isfinite(ll) else math.inf
@@ -375,16 +342,11 @@ def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> Hp
     candidates.sort(key=lambda c: (c[0], c[1]))
     best_theta = np.asarray(candidates[0][1], dtype=float)
 
+    notes: list[str] = []
     log_best = np.log10(best_theta)
     edge = np.isclose(log_best, log_lo, atol=1e-6) | np.isclose(log_best, log_hi, atol=1e-6)
     if edge.any():
         msg = "length scale at optimization bound"
         warnings.warn(msg, RuntimeWarning)
         notes.append(msg)
-
-    _, alpha, sigma2, eff = _profile_likelihood(zs, d, psi, best_theta,
-                                                config.nugget, var_floor, notes)
-    return HpcfeModel(config=config, g0=g0, alpha=alpha, theta=best_theta,
-                      sigma2=sigma2, z_train=z, d=d, basis_map=basis_map,
-                      box_lo=box_lo, box_hi=box_hi, nugget=eff,
-                      fit_notes=tuple(notes))
+    return _assemble(data, best_theta, config, notes)

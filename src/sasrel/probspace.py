@@ -308,7 +308,4 @@ def mc_sample(model: ProbabilisticModel, n: int, seed: int) -> SampleMatrix:
         chunks.append(np.column_stack(
             [m.ppf(u[:, i]) for i, m in enumerate(model.marginals)]
         ))
-    obj = object.__new__(SampleMatrix)
-    object.__setattr__(obj, "values", np.vstack(chunks))
-    object.__setattr__(obj, "space", Space.PHYSICAL)
-    return obj
+    return SampleMatrix(np.vstack(chunks), Space.PHYSICAL)

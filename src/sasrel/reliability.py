@@ -221,7 +221,7 @@ def fit_training(limit_state, model: ProbabilisticModel,
 
 @dataclass(frozen=True)
 class PipelineArtifacts:
-    """Serialized-ready intermediate models and plot data from one pipeline run.
+    """Serialized-ready intermediate models and plot data from one ``sas-hpcfe`` run.
 
     ``scatter`` holds the first ``SCATTER_ROWS`` surrogate Monte-Carlo samples
     in subspace coordinates, with the surrogate's failure label as last column.
@@ -230,7 +230,7 @@ class PipelineArtifacts:
     subspace: object
     hpcfe_model: object
     fd_gradient_cost: int
-    scatter: np.ndarray | None
+    scatter: np.ndarray
 
 
 def sas_hpcfe_pipeline(training: Training,
@@ -275,20 +275,16 @@ def sas_hpcfe_pipeline(training: Training,
     return result, artifacts
 
 
-def spce_only_pipeline(training: Training,
-                       config: PipelineConfig) -> tuple[ReliabilityResult, PipelineArtifacts]:
+def spce_only_pipeline(training: Training, config: PipelineConfig) -> ReliabilityResult:
     """Baseline: the training expansion on the full coordinates, then surrogate MCS."""
     surrogate = training.spce_model
     pf = _failure_fraction(
         uniform_stream(config.seed, config.n_mcs, training.model.dim),
         lambda u: surrogate.predict(2.0 * u - 1.0), "surrogate prediction")
-    result = ReliabilityResult(
+    return ReliabilityResult(
         method="spce", pf=pf, beta=reliability_index(pf),
         n_model_evals=training.n_model_evals, n_surrogate_evals=config.n_mcs,
         cov_pf=_estimator_cov(pf, config.n_mcs), seed=config.seed)
-    artifacts = PipelineArtifacts(subspace=None, hpcfe_model=None,
-                                  fd_gradient_cost=0, scatter=None)
-    return result, artifacts
 
 
 @dataclass(frozen=True)

@@ -147,11 +147,14 @@ def test_scatter_has_reduced_coordinates_and_labels(tmp_path):
     ({"n_train": 1}, None),
     ({"hpcfe": {"restarts": 0}}, None),
     ({"surprise_key": 1}, None),
+    ({"hpcfe": {"kernel": "anisotropic-squared-exponential"}}, "unknown hpcfe keys: kernel"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, overrides, fragment):
     cfg_path, _ = write_config(tmp_path, overrides)
     assert main(["run", "--config", str(cfg_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert fragment is None or fragment in err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -173,13 +173,12 @@ def test_pipeline_audits_model_eval_budget():
 def test_spce_only_pipeline():
     model = uniform_model(6)
     cfg = cheap_pipeline_config(n_train=64, p_max=2, n_mcs=100_000, seed=9)
-    res, art = spce_only_pipeline(fit_training(additive_plane_state(), model, cfg), cfg)
+    res = spce_only_pipeline(fit_training(additive_plane_state(), model, cfg), cfg)
     sd = math.sqrt(0.32 * 0.68 / cfg.n_mcs)
     assert abs(res.pf - 0.32) <= 4 * sd
     assert res.method == "spce"
     assert res.n_model_evals == 64
     assert res.r is None
-    assert art.subspace is None and art.hpcfe_model is None
 
 
 def test_pipeline_rank_grows_with_threshold():
