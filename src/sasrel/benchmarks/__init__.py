@@ -1,5 +1,5 @@
-"""Reference limit states with their probabilistic models and study defaults."""
+"""Reference limit states with their probabilistic models and study settings."""
 
-from .registry import BENCHMARK_NAMES, get_benchmark, study_defaults
+from .registry import BENCHMARK_NAMES, get_benchmark
 
-__all__ = ["BENCHMARK_NAMES", "get_benchmark", "study_defaults"]
+__all__ = ["BENCHMARK_NAMES", "get_benchmark"]

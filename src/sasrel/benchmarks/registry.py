@@ -22,23 +22,33 @@ class Benchmark:
     pipeline: PipelineConfig
 
 
-# (n_train, p_max, LAR term cap, reference MCS n, surrogate MCS n,
-#  hpcfe trend degree, hpcfe nugget, hpcfe restarts, hpcfe max evals)
-_SETTINGS = {
-    "sobol-m10": (800, 5, 30, 100_000, 100_000, 3, 1e-8, 8, None),
-    "sobol-m40": (900, 2, 30, 100_000, 100_000, 3, 1e-8, 8, None),
-    "sobol-m100": (1100, 2, 50, 100_000, 100_000, 3, 1e-8, 8, None),
-    "beam": (800, 4, 50, 1_000_000, 1_000_000, 5, 1e-8, 8, None),
-    "truss": (1000, 3, 120, 100_000, 100_000, 4, 1e-3, 4, 150),
+# Each study's tuned pipeline settings and its reference MCS sample size, the
+# one source of both: a benchmark config overrides only the keys it sets.
+_STUDIES = {
+    "sobol-m10": (PipelineConfig(n_train=800, p_max=5, n_mcs=100_000,
+                                 lar_max_terms=30, hpcfe_config=HpcfeConfig(b=3)),
+                  100_000),
+    "sobol-m40": (PipelineConfig(n_train=900, p_max=2, n_mcs=100_000,
+                                 lar_max_terms=30, hpcfe_config=HpcfeConfig(b=3)),
+                  100_000),
+    "sobol-m100": (PipelineConfig(n_train=1100, p_max=2, n_mcs=100_000,
+                                  lar_max_terms=50, hpcfe_config=HpcfeConfig(b=3)),
+                   100_000),
+    "beam": (PipelineConfig(n_train=800, p_max=4, n_mcs=1_000_000,
+                            lar_max_terms=50, hpcfe_config=HpcfeConfig(b=5)),
+             1_000_000),
+    "truss": (PipelineConfig(n_train=1000, p_max=3, n_mcs=100_000, lar_max_terms=120,
+                             hpcfe_config=HpcfeConfig(b=4, nugget=1e-3, restarts=4,
+                                                      nm_max_evals=150)),
+              100_000),
 }
 
 
-def get_benchmark(name: str, truncated: bool = False, seed: int = 0) -> Benchmark:
-    if name not in _SETTINGS:
+def get_benchmark(name: str, truncated: bool = False) -> Benchmark:
+    if name not in _STUDIES:
         raise ParameterError(
             f"unknown benchmark {name!r}; available: {', '.join(BENCHMARK_NAMES)}")
-    (n_train, p_max, max_terms, mcs_n, n_mcs, trend_b, nugget, restarts,
-     max_evals) = _SETTINGS[name]
+    pipeline, mcs_n = _STUDIES[name]
     if name.startswith("sobol-m"):
         m = int(name.removeprefix("sobol-m"))
         state, model = gfunction.gfunction_state(m), gfunction.gfunction_model(m)
@@ -46,34 +56,5 @@ def get_benchmark(name: str, truncated: bool = False, seed: int = 0) -> Benchmar
         state, model = beam.beam_state(), beam.beam_model(truncated=truncated)
     else:
         state, model = truss.truss_state(), truss.truss_model()
-    cfg = PipelineConfig(
-        n_train=n_train, p_max=p_max, n_mcs=n_mcs, mu=0.98, seed=seed,
-        lar_max_terms=max_terms,
-        hpcfe_config=HpcfeConfig(b=trend_b, nugget=nugget, restarts=restarts,
-                                 nm_max_evals=max_evals))
     return Benchmark(name=name, limit_state=state, model=model,
-                     mcs_n=mcs_n, pipeline=cfg)
-
-
-def study_defaults(name: str) -> dict:
-    """JSON-ready study configuration template for the CLI."""
-    bench = get_benchmark(name)
-    return {
-        "benchmark": name,
-        "methods": ["mcs", "spce", "sas-hpcfe"],
-        "n_train": bench.pipeline.n_train,
-        "p_max": bench.pipeline.p_max,
-        "max_terms": bench.pipeline.lar_max_terms,
-        "mu": bench.pipeline.mu,
-        "n_mcs": bench.mcs_n,
-        "n_mcs_surrogate": bench.pipeline.n_mcs,
-        "seed": 0,
-        "truncation": False,
-        "hpcfe": {
-            "M": bench.pipeline.hpcfe_config.M,
-            "b": bench.pipeline.hpcfe_config.b,
-            "nugget": bench.pipeline.hpcfe_config.nugget,
-            "restarts": bench.pipeline.hpcfe_config.restarts,
-            "nm_max_evals": bench.pipeline.hpcfe_config.nm_max_evals,
-        },
-    }
+                     mcs_n=mcs_n, pipeline=pipeline)

@@ -14,7 +14,7 @@ import importlib.util
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,28 +43,72 @@ class ConfigError(Exception):
     pass
 
 
+# JSON config key -> the PipelineConfig field it sets
+PIPELINE_KEYS = {
+    "n_train": "n_train",
+    "p_max": "p_max",
+    "mu": "mu",
+    "n_mcs_surrogate": "n_mcs",
+    "seed": "seed",
+    "max_terms": "lar_max_terms",
+    "n_grad_samples": "n_grad_samples",
+    "hpcfe": "hpcfe_config",
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _hpcfe_config(block, base: HpcfeConfig) -> HpcfeConfig:
+    """``base`` with the keys set in a config's ``hpcfe`` object."""
+    if not isinstance(block, dict):
+        raise ConfigError("'hpcfe' must be an object")
+    extra = set(block) - {f.name for f in fields(HpcfeConfig)}
+    if extra:
+        raise ConfigError(f"unknown hpcfe keys: {', '.join(sorted(extra))}")
+    for key in ("M", "b", "restarts", "nm_max_evals"):
+        v = block.get(key)
+        if key in block and not (_is_int(v) or (key == "nm_max_evals" and v is None)):
+            raise ConfigError(f"hpcfe: '{key}' must be an integer")
+    if "nugget" in block and not _is_number(block["nugget"]):
+        raise ConfigError("hpcfe: 'nugget' must be a number")
+    if "theta_bounds" in block:
+        bounds = block["theta_bounds"]
+        if not (isinstance(bounds, list) and len(bounds) == 2
+                and all(map(_is_number, bounds))):
+            raise ConfigError("hpcfe: 'theta_bounds' must be a list of two numbers")
+        block = {**block, "theta_bounds": tuple(bounds)}
+    try:
+        return replace(base, **block)
+    except ParameterError as exc:
+        raise ConfigError(f"hpcfe: {exc}")
+
+
 @dataclass
 class StudyConfig:
+    """One study: its problem, its methods and the settings they run with.
+
+    ``pipeline`` carries the study seed and every surrogate setting; ``n_mcs``
+    is the sample size of the reference ``mcs`` method.
+    """
+
     benchmark: str | None
     plugin: str | None
     methods: tuple[str, ...]
-    n_train: int
-    p_max: int
-    mu: float
+    pipeline: PipelineConfig
     n_mcs: int
-    n_mcs_surrogate: int
-    seed: int
     truncation: bool
-    hpcfe: HpcfeConfig
     out_dir: Path
-    max_terms: int | None = None
-    n_grad_samples: int | None = None
     geometry_file: str | None = None
 
     _KNOWN_KEYS = {
-        "benchmark", "plugin", "methods", "n_train", "p_max", "mu", "n_mcs",
-        "n_mcs_surrogate", "seed", "truncation", "hpcfe", "out_dir",
-        "max_terms", "n_grad_samples", "geometry_file",
+        "benchmark", "plugin", "methods", "n_mcs", "truncation", "out_dir",
+        "geometry_file", *PIPELINE_KEYS,
     }
 
     @classmethod
@@ -78,98 +122,79 @@ class StudyConfig:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
+        try:
+            return cls._from_dict(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}")
+
+    @classmethod
+    def _from_dict(cls, raw: dict) -> "StudyConfig":
         unknown = set(raw) - cls._KNOWN_KEYS
         if unknown:
-            raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key in ("plugin", "geometry_file", "out_dir"):
+            if raw.get(key) is not None and not isinstance(raw[key], str):
+                raise ConfigError(f"'{key}' must be a string")
 
         benchmark = raw.get("benchmark")
         plugin = raw.get("plugin")
         if (benchmark is None) == (plugin is None):
-            raise ConfigError(f"{path}: exactly one of 'benchmark' or 'plugin' is required")
+            raise ConfigError("exactly one of 'benchmark' or 'plugin' is required")
         if benchmark is not None and benchmark not in BENCHMARK_NAMES:
             raise ConfigError(
-                f"{path}: unknown benchmark {benchmark!r}; "
+                f"unknown benchmark {benchmark!r}; "
                 f"available: {', '.join(BENCHMARK_NAMES)}")
         if plugin is not None and not Path(plugin).is_file():
-            raise ConfigError(f"{path}: plugin file not found: {plugin}")
+            raise ConfigError(f"plugin file not found: {plugin}")
         geometry_file = raw.get("geometry_file")
         if geometry_file is not None and not Path(geometry_file).is_file():
-            raise ConfigError(f"{path}: geometry file not found: {geometry_file}")
+            raise ConfigError(f"geometry file not found: {geometry_file}")
 
         methods = raw.get("methods", ["mcs"])
         if not isinstance(methods, list) or not methods:
-            raise ConfigError(f"{path}: 'methods' must be a non-empty list")
+            raise ConfigError("'methods' must be a non-empty list")
         bad = [m for m in methods if m not in VALID_METHODS]
         if bad:
-            raise ConfigError(
-                f"{path}: unknown methods {bad}; valid: {', '.join(VALID_METHODS)}")
+            raise ConfigError(f"unknown methods {bad}; valid: {', '.join(VALID_METHODS)}")
+        if len(set(methods)) != len(methods):
+            raise ConfigError(f"'methods' names a method more than once: {methods}")
+        truncation = raw.get("truncation")
+        if truncation is not None and not isinstance(truncation, bool):
+            raise ConfigError("'truncation' must be true or false")
 
-        defaults = {}
-        if benchmark is not None:
-            bench = get_benchmark(benchmark)
-            defaults = {
-                "n_train": bench.pipeline.n_train,
-                "p_max": bench.pipeline.p_max,
-                "mu": bench.pipeline.mu,
-                "n_mcs": bench.mcs_n,
-                "n_mcs_surrogate": bench.pipeline.n_mcs,
-                "max_terms": bench.pipeline.lar_max_terms,
-                "hpcfe": bench.pipeline.hpcfe_config,
-            }
-        hp_cfg = defaults.get("hpcfe", HpcfeConfig())
+        if benchmark is None:  # a benchmark config takes the registry's values
+            for key in ("n_train", "p_max", "n_mcs", "n_mcs_surrogate"):
+                if key not in raw:
+                    raise ConfigError(f"missing required key '{key}'")
+        for key, minimum in (("n_train", 3), ("p_max", 1), ("n_mcs", 1),
+                             ("n_mcs_surrogate", 1), ("seed", 0)):
+            if key in raw and not (_is_int(raw[key]) and raw[key] >= minimum):
+                raise ConfigError(f"'{key}' must be an integer >= {minimum}")
+        for key in ("max_terms", "n_grad_samples"):
+            v = raw.get(key)
+            if v is not None and not (_is_int(v) and v >= 1):
+                raise ConfigError(f"'{key}' must be a positive integer or null")
+        if "mu" in raw and not (_is_number(raw["mu"]) and 0.0 < raw["mu"] < 1.0):
+            raise ConfigError("'mu' must lie strictly between 0 and 1")
+
+        bench = get_benchmark(benchmark) if benchmark is not None else None
+        overrides = {field: raw[key] for key, field in PIPELINE_KEYS.items()
+                     if key in raw}
         if "hpcfe" in raw:
-            if not isinstance(raw["hpcfe"], dict):
-                raise ConfigError(f"{path}: 'hpcfe' must be an object")
-            extra = set(raw["hpcfe"]) - {f.name for f in fields(HpcfeConfig)}
-            if extra:
-                raise ConfigError(
-                    f"{path}: unknown hpcfe keys: {', '.join(sorted(extra))}")
-            merged = {**asdict(hp_cfg), **raw["hpcfe"]}
-            merged["theta_bounds"] = tuple(merged["theta_bounds"])
-            try:
-                hp_cfg = HpcfeConfig(**merged)
-            except (ParameterError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: hpcfe: {exc}")
-
-        def get_int(key, default, minimum):
-            v = raw.get(key, default)
-            if v is None and default is None:
-                raise ConfigError(f"{path}: missing required key '{key}'")
-            if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-                raise ConfigError(f"{path}: '{key}' must be an integer >= {minimum}")
-            return v
-
-        mu = raw.get("mu", defaults.get("mu", 0.98))
-        if not isinstance(mu, (int, float)) or not 0.0 < mu < 1.0:
-            raise ConfigError(f"{path}: 'mu' must lie strictly between 0 and 1")
-        max_terms = raw.get("max_terms", defaults.get("max_terms"))
-        if max_terms is not None and (not isinstance(max_terms, int) or max_terms < 1):
-            raise ConfigError(f"{path}: 'max_terms' must be a positive integer or null")
-        n_grad = raw.get("n_grad_samples")
-        if n_grad is not None and (not isinstance(n_grad, int) or n_grad < 1):
-            raise ConfigError(f"{path}: 'n_grad_samples' must be a positive integer")
-
+            overrides["hpcfe_config"] = _hpcfe_config(
+                raw["hpcfe"], bench.pipeline.hpcfe_config if bench else HpcfeConfig())
         try:
-            return cls(
-                benchmark=benchmark,
-                plugin=plugin,
-                methods=tuple(methods),
-                n_train=get_int("n_train", defaults.get("n_train"), 3),
-                p_max=get_int("p_max", defaults.get("p_max"), 1),
-                mu=float(mu),
-                n_mcs=get_int("n_mcs", defaults.get("n_mcs"), 1),
-                n_mcs_surrogate=get_int("n_mcs_surrogate",
-                                        defaults.get("n_mcs_surrogate"), 1),
-                seed=get_int("seed", 0, 0),
-                truncation=bool(raw.get("truncation", False)),
-                hpcfe=hp_cfg,
-                out_dir=Path(raw.get("out_dir", "results")),
-                max_terms=max_terms,
-                n_grad_samples=n_grad,
-                geometry_file=geometry_file,
-            )
+            pipeline = (replace(bench.pipeline, **overrides) if bench
+                        else PipelineConfig(**overrides))
         except ParameterError as exc:
-            raise ConfigError(f"{path}: {exc}")
+            raise ConfigError(str(exc))
+        out_dir = raw.get("out_dir")
+        return cls(benchmark=benchmark, plugin=plugin, methods=tuple(methods),
+                   pipeline=pipeline,
+                   n_mcs=raw["n_mcs"] if "n_mcs" in raw else bench.mcs_n,
+                   truncation=bool(truncation),
+                   out_dir=Path("results" if out_dir is None else out_dir),
+                   geometry_file=geometry_file)
 
 
 def _load_plugin(path: str) -> tuple[LimitState, ProbabilisticModel]:
@@ -236,11 +261,6 @@ def run_study(cfg: StudyConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    pipe_cfg = PipelineConfig(
-        n_train=cfg.n_train, p_max=cfg.p_max, n_mcs=cfg.n_mcs_surrogate,
-        mu=cfg.mu, seed=cfg.seed, hpcfe_config=cfg.hpcfe,
-        n_grad_samples=cfg.n_grad_samples, lar_max_terms=cfg.max_terms)
-
     rows: list[dict] = []
     beta_ref = None
     training = None  # fitted once, shared by both surrogate methods
@@ -250,16 +270,16 @@ def run_study(cfg: StudyConfig) -> int:
         artifacts = None  # only sas-hpcfe has intermediate models to write
         try:
             if method == "mcs":
-                res = mcs_probability(state, model, n=cfg.n_mcs, seed=cfg.seed)
+                res = mcs_probability(state, model, n=cfg.n_mcs, seed=cfg.pipeline.seed)
                 beta_ref = res.beta
             else:
                 if training is None:
-                    training = fit_training(state, model, pipe_cfg)
+                    training = fit_training(state, model, cfg.pipeline)
                     (out / "spce_model.json").write_text(training.spce_model.to_json())
                 if method == "spce":
-                    res = spce_only_pipeline(training, pipe_cfg)
+                    res = spce_only_pipeline(training, cfg.pipeline)
                 else:
-                    res, artifacts = sas_hpcfe_pipeline(training, pipe_cfg)
+                    res, artifacts = sas_hpcfe_pipeline(training, cfg.pipeline)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             print(f"error: {method} failed: {exc}", file=sys.stderr)
             _write_results_csv(out / "results.csv", rows)
@@ -349,7 +369,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
-            cfg.seed = args.seed
+            cfg.pipeline = replace(cfg.pipeline, seed=args.seed)
         if args.no_truncation:
             cfg.truncation = False
     except ConfigError as exc:

@@ -184,14 +184,6 @@ class ProbabilisticModel:
     def dim(self) -> int:
         return len(self.marginals)
 
-    def drop_truncation(self) -> "ProbabilisticModel":
-        """The same model with every truncation interval removed."""
-        return ProbabilisticModel(tuple(
-            Marginal(kind=m.kind, mean=m.mean, sd=m.sd, lo=m.lo, hi=m.hi,
-                     truncation=None, name=m.name)
-            for m in self.marginals
-        ))
-
     def to_json(self) -> str:
         return json.dumps({"marginals": [m.to_dict() for m in self.marginals]}, indent=2)
 

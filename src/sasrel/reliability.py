@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
@@ -213,8 +213,7 @@ def fit_training(limit_state, model: ProbabilisticModel,
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite limit state value in the training design")
     xi = 2.0 * u.values - 1.0
-    spce_model = fit_lar(xi, y, config.p_max, max_terms=config.lar_max_terms,
-                         input_model=model)
+    spce_model = fit_lar(xi, y, config.p_max, max_terms=config.lar_max_terms)
     return Training(model=model, xi=xi, y=y, spce_model=spce_model,
                     n_model_evals=counter.n_evals)
 
@@ -241,9 +240,8 @@ def sas_hpcfe_pipeline(training: Training,
     ``training``, so ``n_model_evals`` is the training design's audited count.
     """
     model = training.model
-    n_grad = config.n_grad_samples or 10 * model.dim
     subspace = subspace_from_surrogate(training.spce_model, config.mu,
-                                       n_grad_samples=n_grad,
+                                       n_grad_samples=config.n_grad_samples,
                                        skip=training.xi.shape[0])
     if subspace.r == model.dim:
         warnings.warn("no dimension reduction: subspace rank equals input dimension",
@@ -266,12 +264,13 @@ def sas_hpcfe_pipeline(training: Training,
     result = ReliabilityResult(
         method="sas-hpcfe", pf=pf, beta=reliability_index(pf),
         n_model_evals=training.n_model_evals,
-        n_surrogate_evals=config.n_mcs + n_grad,
+        n_surrogate_evals=config.n_mcs + subspace.n_grad_samples,
         cov_pf=_estimator_cov(pf, config.n_mcs),
         r=subspace.r, seed=config.seed)
     artifacts = PipelineArtifacts(
         subspace=subspace, hpcfe_model=reduced,
-        fd_gradient_cost=fd_cost(model.dim, n_grad), scatter=scatter[0])
+        fd_gradient_cost=fd_cost(model.dim, subspace.n_grad_samples),
+        scatter=scatter[0])
     return result, artifacts
 
 
@@ -285,40 +284,3 @@ def spce_only_pipeline(training: Training, config: PipelineConfig) -> Reliabilit
         method="spce", pf=pf, beta=reliability_index(pf),
         n_model_evals=training.n_model_evals, n_surrogate_evals=config.n_mcs,
         cov_pf=_estimator_cov(pf, config.n_mcs), seed=config.seed)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_train: int
-    pf: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple[ConvergenceRow, ...]
-    converged_at: int | None
-
-
-def convergence_study(runner: Callable[[int], ReliabilityResult],
-                      schedule: Sequence[int]) -> ConvergenceTable:
-    """Run an estimator over a training-size schedule and flag 1% beta settling.
-
-    ``converged_at`` is the first schedule entry whose beta differs from the
-    previous entry's by less than 1% relative; None if the schedule never
-    settles (or has a single entry).
-    """
-    if not schedule:
-        raise ParameterError("schedule must contain at least one training size")
-    rows = []
-    converged_at = None
-    prev_beta = None
-    for n_train in schedule:
-        res = runner(int(n_train))
-        rows.append(ConvergenceRow(n_train=int(n_train), pf=res.pf, beta=res.beta))
-        if prev_beta is not None and converged_at is None and math.isfinite(res.beta) \
-                and math.isfinite(prev_beta) and prev_beta != 0.0 \
-                and abs(res.beta - prev_beta) < 0.01 * abs(prev_beta):
-            converged_at = int(n_train)
-        prev_beta = res.beta
-    return ConvergenceTable(rows=tuple(rows), converged_at=converged_at)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -164,7 +164,6 @@ class SparsePceModel:
     coefficients: np.ndarray
     intercept: float
     loo: float
-    input_model: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.int64).reshape(-1, self.dim)
@@ -225,8 +224,7 @@ class SparsePceModel:
 
 
 def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
-            max_terms: int | None = None, patience: int | None = None,
-            input_model: object = None) -> SparsePceModel:
+            max_terms: int | None = None) -> SparsePceModel:
     """Fit a sparse expansion on a standardized design of experiments.
 
     Runs the LAR path over the total-degree candidate basis (centered,
@@ -241,9 +239,6 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
         max_terms: optional cap on the path length below the default
             min(cardinality - 1, N_s - 1); used to bound runtime on very large
             candidate sets.
-        patience: optional early stop after this many consecutive path steps
-            without a new best score.
-        input_model: optional probabilistic model kept for bookkeeping.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -281,13 +276,13 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
             dim=dim, p_max=p_max,
             indices=candidates.indices[rows],
             coefficients=coef[1:], intercept=float(coef[0]),
-            loo=loo_error(design, y), input_model=input_model)
+            loo=loo_error(design, y))
 
     if float(np.ptp(y)) <= 1e-14 * max(1.0, float(np.abs(y).max())):
         return SparsePceModel(dim=dim, p_max=p_max,
                               indices=np.empty((0, dim), dtype=np.int64),
                               coefficients=np.empty(0), intercept=float(y.mean()),
-                              loo=0.0, input_model=input_model)
+                              loo=0.0)
 
     phi = eval_design_matrix(candidates, xi)
     centered = phi[:, 1:] - phi[:, 1:].mean(axis=0)
@@ -353,8 +348,6 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
         if score <= _LOO_EXACT:
             stopped_exact = True
             break
-        if patience is not None and k - best_k >= patience:
-            break
 
     if stopped_exact and scores[-1] < best_score:
         best_score, best_k = scores[-1], len(path_cols)
@@ -368,5 +361,5 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
         return SparsePceModel(dim=dim, p_max=p_max,
                               indices=np.empty((0, dim), dtype=np.int64),
                               coefficients=np.empty(0), intercept=float(y.mean()),
-                              loo=scores[0], input_model=input_model)
+                              loo=scores[0])
     return final_model(path_cols[:best_k])

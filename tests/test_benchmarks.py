@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sasrel.benchmarks import BENCHMARK_NAMES, get_benchmark, study_defaults
+from sasrel.benchmarks import BENCHMARK_NAMES, get_benchmark
 from sasrel.benchmarks.beam import (
     MEAN_VALUES,
     beam_limit_state_values,
@@ -367,11 +367,3 @@ def test_registry_names_and_dimensions():
         assert bench.pipeline.n_train >= 100
     with pytest.raises(ParameterError):
         get_benchmark("sobol-m11")
-
-
-def test_study_defaults_serializable():
-    for name in BENCHMARK_NAMES:
-        cfg = study_defaults(name)
-        json.dumps(cfg)
-        assert set(cfg["methods"]) == {"mcs", "spce", "sas-hpcfe"}
-        assert cfg["benchmark"] == name

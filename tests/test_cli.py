@@ -4,12 +4,16 @@ import csv
 import dataclasses
 import json
 import math
+import pathlib
 
 import pytest
 
 from sasrel import cli, reliability
-from sasrel.cli import main
+from sasrel.benchmarks import BENCHMARK_NAMES, get_benchmark
+from sasrel.cli import StudyConfig, main
 from sasrel.reliability import CountingLimitState
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 FAST_STUDY = {
     "benchmark": "sobol-m10",
@@ -148,6 +152,14 @@ def test_scatter_has_reduced_coordinates_and_labels(tmp_path):
     ({"hpcfe": {"restarts": 0}}, None),
     ({"surprise_key": 1}, None),
     ({"hpcfe": {"kernel": "anisotropic-squared-exponential"}}, "unknown hpcfe keys: kernel"),
+    ({"hpcfe": {"theta_bounds": 5}}, "'theta_bounds' must be a list of two numbers"),
+    ({"truncation": "no"}, "'truncation' must be true or false"),
+    ({"out_dir": 5}, "'out_dir' must be a string"),
+    ({"max_terms": True}, "'max_terms' must be a positive integer"),
+    ({"n_grad_samples": True}, "'n_grad_samples' must be a positive integer"),
+    ({"hpcfe": {"restarts": True}}, "hpcfe: 'restarts' must be an integer"),
+    ({"hpcfe": {"nugget": True}}, "hpcfe: 'nugget' must be a number"),
+    ({"methods": ["mcs", "mcs"]}, "'methods' names a method more than once"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, overrides, fragment):
     cfg_path, _ = write_config(tmp_path, overrides)
@@ -280,13 +292,31 @@ def test_report_missing_directory(tmp_path, capsys):
 
 
 def test_shipped_configs_are_loadable():
-    import pathlib
-
-    from sasrel.benchmarks import BENCHMARK_NAMES
-    from sasrel.cli import StudyConfig
-
-    config_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
     for name in BENCHMARK_NAMES:
-        cfg = StudyConfig.from_file(str(config_dir / f"{name}.json"))
+        cfg = StudyConfig.from_file(str(CONFIG_DIR / f"{name}.json"))
         assert cfg.benchmark == name
         assert set(cfg.methods) == {"mcs", "spce", "sas-hpcfe"}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_benchmark_configs_load_the_registry_settings(tmp_path, name):
+    bench = get_benchmark(name)
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"benchmark": name, "methods": ["mcs", "spce"]}))
+    # the shipped config spells out every setting; the bare one sets none
+    for path in (CONFIG_DIR / f"{name}.json", bare):
+        cfg = StudyConfig.from_file(str(path))
+        assert cfg.pipeline == bench.pipeline
+        assert cfg.n_mcs == bench.mcs_n
+
+
+def test_config_keys_override_the_registry(tmp_path):
+    cfg_path, _ = write_config(tmp_path, {"mu": 0.9, "n_grad_samples": 40})
+    cfg = StudyConfig.from_file(str(cfg_path))
+    registry = get_benchmark("sobol-m10").pipeline
+    assert cfg.pipeline == dataclasses.replace(
+        registry, n_train=250, p_max=3, lar_max_terms=25, n_mcs=20000, seed=3,
+        mu=0.9, n_grad_samples=40,
+        hpcfe_config=dataclasses.replace(registry.hpcfe_config, restarts=2,
+                                         nm_max_evals=60))
+    assert cfg.n_mcs == 20000

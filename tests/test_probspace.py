@@ -166,13 +166,3 @@ def test_model_json_roundtrip():
     again = ProbabilisticModel.from_json(text)
     assert again == model
     assert again.marginals[1].truncation == (10.0, 60.0)
-
-
-def test_drop_truncation():
-    model = ProbabilisticModel((
-        Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0)),
-        Marginal(kind="normal", mean=0.0, sd=1.0),
-    ))
-    free = model.drop_truncation()
-    assert all(m.truncation is None for m in free.marginals)
-    assert free.marginals[0].mean == 10.0

@@ -10,12 +10,10 @@ from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import HpcfeConfig, HpcfeModel
 from sasrel.probspace import Marginal, ProbabilisticModel, mc_sample
 from sasrel.reliability import (
-    ConvergenceTable,
     CountingLimitState,
     LimitState,
     PipelineConfig,
     ReliabilityResult,
-    convergence_study,
     fit_training,
     mcs_probability,
     reliability_index,
@@ -237,29 +235,3 @@ def test_pipeline_config_validation():
         PipelineConfig(n_train=10, p_max=1, n_mcs=0)
     with pytest.raises(ParameterError):
         PipelineConfig(n_train=10, p_max=1, n_mcs=100, mu=1.0)
-
-
-def test_convergence_study_flags_settling():
-    betas = {10: 2.0, 20: 1.5, 30: 1.49, 40: 1.491}
-
-    def runner(n):
-        pf = float(norm.sf(betas[n]))
-        return ReliabilityResult(method="mcs", pf=pf, beta=betas[n],
-                                 n_model_evals=n)
-
-    table = convergence_study(runner, [10, 20, 30, 40])
-    assert isinstance(table, ConvergenceTable)
-    assert [row.n_train for row in table.rows] == [10, 20, 30, 40]
-    assert table.converged_at == 30
-
-
-def test_convergence_study_single_and_unsettled():
-    def runner(n):
-        beta = 1.0 + 0.5 * (n % 3)  # keeps jumping
-        return ReliabilityResult(method="mcs", pf=float(norm.sf(beta)),
-                                 beta=beta, n_model_evals=n)
-
-    assert convergence_study(runner, [50]).converged_at is None
-    assert convergence_study(runner, [10, 11, 12, 13]).converged_at is None
-    with pytest.raises(ParameterError):
-        convergence_study(runner, [])
