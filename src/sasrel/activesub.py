@@ -165,7 +165,7 @@ def subspace_from_surrogate(model, mu: float, n_grad_samples: int | None = None,
     dim = model.dim
     if n_grad_samples is None:
         n_grad_samples = 10 * dim
-    pts = 2.0 * sobol_points(n_grad_samples, dim, skip=skip).values - 1.0
+    pts = 2.0 * sobol_points(n_grad_samples, dim, skip=skip) - 1.0
     c = estimate_c(model.gradient, pts)
     vec, lam = eigendecompose(c)
     r = choose_rank(lam, mu)

@@ -1,8 +1,9 @@
 """Hybrid surrogate on reduced coordinates: component-function trend + GP residual.
 
 The trend is a hierarchical expansion over component functions of at most M
-variables, each carrying univariate orthonormal Legendre factors up to degree
-b, with redundant columns across component functions removed.  The trend
+variables, each carrying products of univariate orthonormal Legendre factors
+of degree 1..b in all of its variables, so no column repeats across component
+functions.  The trend
 coefficients come from a minimum-norm GLS trend solve.  A zero-mean Gaussian
 process with an anisotropic squared-exponential kernel interpolates the trend
 residual; its length scales are found by multi-start maximum likelihood.
@@ -60,28 +61,33 @@ def build_design_matrix(z: np.ndarray, config: HpcfeConfig) -> tuple[np.ndarray,
     """Trend design matrix and its multi-index map on standardized coordinates.
 
     Component functions are enumerated for every variable subset of size 1..M;
-    each contributes products of univariate terms of degree 0..b in its own
-    variables.  Identical products from different component functions collapse
-    to one column (canonical multi-index identity); the constant is excluded.
+    each contributes products of univariate terms of degree 1..b in all of its
+    own variables.  A product of nonzero degrees belongs to exactly one subset,
+    so the component sets are disjoint and together hold every multi-index
+    with 1..M nonzero entries of degree at most b; the constant is excluded.
     Returns (Psi of shape (n, q'), map of shape (q', r)).
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     r = z.shape[1]
-    seen: set[tuple[int, ...]] = set()
+    rows = []
     for size in range(1, min(config.M, r) + 1):
         for subset in itertools.combinations(range(r), size):
-            for degrees in itertools.product(range(config.b + 1), repeat=size):
+            for degrees in itertools.product(range(1, config.b + 1), repeat=size):
                 alpha = [0] * r
                 for d, k in zip(subset, degrees):
                     alpha[d] = k
-                if any(degrees):
-                    seen.add(tuple(alpha))
-    if not seen:
+                rows.append(tuple(alpha))
+    if not rows:
         raise ParameterError("extended basis is empty")
-    rows = sorted(seen, key=lambda a: (sum(a), tuple(-x for x in a)))
+    rows.sort(key=lambda a: (sum(a), tuple(-x for x in a)))
     basis_map = np.asarray(rows, dtype=np.int64)
     psi = eval_design_matrix(BasisSet(basis_map), z, check_domain=False)
     return psi, basis_map
+
+
+def _kernel_cross(z_new: np.ndarray, z_train: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    sq = np.sqrt(np.asarray(theta, dtype=float))
+    return np.exp(-cdist(z_new * sq, z_train * sq, "sqeuclidean"))
 
 
 def correlation_matrix(z: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
@@ -92,14 +98,7 @@ def correlation_matrix(z: np.ndarray, theta: np.ndarray, nugget: float) -> np.nd
         raise ParameterError("length-scale parameters must be positive")
     if theta.shape[0] != z.shape[1]:
         raise DimensionError(f"{theta.shape[0]} length scales for {z.shape[1]} coordinates")
-    scaled = z * np.sqrt(theta)
-    r = np.exp(-cdist(scaled, scaled, "sqeuclidean"))
-    return r + nugget * np.eye(z.shape[0])
-
-
-def _kernel_cross(z_new: np.ndarray, z_train: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    sq = np.sqrt(np.asarray(theta, dtype=float))
-    return np.exp(-cdist(z_new * sq, z_train * sq, "sqeuclidean"))
+    return _kernel_cross(z, z, theta) + nugget * np.eye(z.shape[0])
 
 
 def _chol_with_retries(z: np.ndarray, theta: np.ndarray, nugget: float,
@@ -319,7 +318,7 @@ def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> Hp
     r = data.z.shape[1]
     lo, hi = config.theta_bounds
     log_lo, log_hi = math.log10(lo), math.log10(hi)
-    starts = log_lo + (log_hi - log_lo) * sobol_points(config.restarts, r).values
+    starts = log_lo + (log_hi - log_lo) * sobol_points(config.restarts, r)
     max_evals = config.nm_max_evals or (60 + 40 * r)
 
     def neg_ll(log_theta: np.ndarray) -> float:

@@ -1,26 +1,22 @@
-"""Marginal distributions, isoprobabilistic transforms and input sampling.
+"""Marginal distributions, the inverse-CDF map and input sampling.
 
-Random inputs are described by independent one-dimensional marginals.  Three
-coordinate systems are used throughout the package:
+Random inputs are described by independent one-dimensional marginals.  Every
+sampler draws U(0,1) levels; ``ProbabilisticModel.to_physical`` maps an
+``(n, dim)`` array of levels to physical units through the per-dimension
+inverse CDFs.  The polynomial surrogates are built on ``2 u - 1`` in [-1, 1],
+which callers form from the same levels.
 
-* ``PHYSICAL``       -- the original engineering units,
-* ``STD_UNIFORM``    -- per-dimension CDF values, uniform on (0, 1),
-* ``STD_LEGENDRE``   -- the affine image ``2 u - 1`` on [-1, 1], the space in
-  which the polynomial surrogates are built.
-
-Because the marginals are independent, mapping any input vector through its
-per-dimension CDF yields a uniform distribution on the unit cube, so the
-standardized spaces are distribution-free.
+Because the marginals are independent, the levels are uniform on the unit
+cube whatever the marginals, so the surrogates' coordinates are
+distribution-free.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import stats
@@ -33,12 +29,6 @@ from .errors import DimensionError, DomainError, ParameterError
 SAMPLE_CHUNK = 65536
 
 _SOBOL_MAX_DIM = 1000
-
-
-class Space(Enum):
-    PHYSICAL = "physical"
-    STD_UNIFORM = "std_uniform"
-    STD_LEGENDRE = "std_legendre"
 
 
 def moment_match(kind: str, mean: float, sd: float) -> dict:
@@ -147,27 +137,6 @@ class Marginal:
             u = ua + u * (ub - ua)
         return dist.ppf(u)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d: dict = {"name": self.name, "kind": self.kind}
-        if self.kind == "uniform":
-            d["lo"], d["hi"] = self.lo, self.hi
-        else:
-            d["mean"], d["sd"] = self.mean, self.sd
-        if self.truncation is not None:
-            d["truncation"] = list(self.truncation)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Marginal":
-        trunc = tuple(d["truncation"]) if d.get("truncation") is not None else None
-        if d["kind"] == "uniform":
-            return cls(kind="uniform", lo=d["lo"], hi=d["hi"], truncation=trunc,
-                       name=d.get("name", ""))
-        return cls(kind=d["kind"], mean=d["mean"], sd=d["sd"], truncation=trunc,
-                   name=d.get("name", ""))
-
 
 @dataclass(frozen=True)
 class ProbabilisticModel:
@@ -184,77 +153,19 @@ class ProbabilisticModel:
     def dim(self) -> int:
         return len(self.marginals)
 
-    def to_json(self) -> str:
-        return json.dumps({"marginals": [m.to_dict() for m in self.marginals]}, indent=2)
+    def to_physical(self, u: np.ndarray) -> np.ndarray:
+        """Map an ``(n, dim)`` array of U(0,1) levels to physical values.
 
-    @classmethod
-    def from_json(cls, text: str) -> "ProbabilisticModel":
-        data = json.loads(text)
-        return cls(tuple(Marginal.from_dict(d) for d in data["marginals"]))
-
-
-@dataclass(frozen=True)
-class SampleMatrix:
-    """A (n_samples, dim) matrix tagged with the space its entries live in."""
-
-    values: np.ndarray
-    space: Space
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise DimensionError(f"sample matrix must be 2-D, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-        if self.space is Space.STD_UNIFORM and (np.any(v <= 0.0) or np.any(v >= 1.0)):
-            raise DomainError("standard-uniform samples must lie strictly inside (0, 1)")
-        if self.space is Space.STD_LEGENDRE and np.any(np.abs(v) > 1.0):
-            raise DomainError("standardized samples must lie inside [-1, 1]")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+        Column ``i`` goes through the inverse CDF of marginal ``i``; truncated
+        marginals use the renormalized CDF.
+        """
+        if u.ndim != 2 or u.shape[1] != self.dim:
+            raise DimensionError(
+                f"sample block has shape {u.shape}, model has {self.dim} columns")
+        return np.column_stack([m.ppf(u[:, i]) for i, m in enumerate(self.marginals)])
 
 
-def transform(x: SampleMatrix, to_space: Space, model: ProbabilisticModel) -> SampleMatrix:
-    """Map a tagged sample matrix between physical and standardized spaces.
-
-    The per-dimension maps are ``u = F_i(x_i)`` and ``xi = 2 u - 1`` together
-    with their inverses; truncated marginals use the renormalized CDF.
-    """
-    if x.dim != model.dim:
-        raise DimensionError(f"sample matrix has {x.dim} columns, model has {model.dim}")
-    if x.space is to_space:
-        return x
-
-    v = x.values
-    if x.space is Space.PHYSICAL:
-        u = np.column_stack([m.cdf(v[:, i]) for i, m in enumerate(model.marginals)])
-    elif x.space is Space.STD_UNIFORM:
-        u = v
-    else:
-        u = 0.5 * (v + 1.0)
-
-    if to_space is Space.STD_UNIFORM:
-        out = u
-    elif to_space is Space.STD_LEGENDRE:
-        out = 2.0 * u - 1.0
-    else:
-        out = np.column_stack([m.ppf(u[:, i]) for i, m in enumerate(model.marginals)])
-    # Endpoint round-off from the affine maps is tolerated; the open-interval
-    # invariant is enforced only for freshly generated uniform samples.
-    if to_space is Space.STD_LEGENDRE:
-        out = np.clip(out, -1.0, 1.0)
-    obj = object.__new__(SampleMatrix)
-    object.__setattr__(obj, "values", np.asarray(out, dtype=float))
-    object.__setattr__(obj, "space", to_space)
-    return obj
-
-
-def sobol_points(n: int, dim: int, skip: int = 0) -> SampleMatrix:
+def sobol_points(n: int, dim: int, skip: int = 0) -> np.ndarray:
     """First ``n`` points of the ``dim``-dimensional Sobol sequence.
 
     The initial all-zeros point is always dropped (it maps to marginal infima
@@ -273,8 +184,7 @@ def sobol_points(n: int, dim: int, skip: int = 0) -> SampleMatrix:
     with warnings.catch_warnings():
         # n is rarely a power of two here; the balance warning is expected.
         warnings.simplefilter("ignore", UserWarning)
-        pts = sampler.random(n)
-    return SampleMatrix(pts, Space.STD_UNIFORM)
+        return sampler.random(n)
 
 
 def uniform_stream(seed: int, n: int, dim: int) -> Iterator[np.ndarray]:
@@ -293,11 +203,6 @@ def uniform_stream(seed: int, n: int, dim: int) -> Iterator[np.ndarray]:
         yield np.random.default_rng(child).random((rows, dim))
 
 
-def mc_sample(model: ProbabilisticModel, n: int, seed: int) -> SampleMatrix:
+def mc_sample(model: ProbabilisticModel, n: int, seed: int) -> np.ndarray:
     """``n`` i.i.d. physical-space draws via inverse-CDF of a seeded stream."""
-    chunks = []
-    for u in uniform_stream(seed, n, model.dim):
-        chunks.append(np.column_stack(
-            [m.ppf(u[:, i]) for i, m in enumerate(model.marginals)]
-        ))
-    return SampleMatrix(np.vstack(chunks), Space.PHYSICAL)
+    return np.vstack([model.to_physical(u) for u in uniform_stream(seed, n, model.dim)])

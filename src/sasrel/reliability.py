@@ -21,7 +21,7 @@ from scipy.stats import norm
 from . import hpcfe as hp
 from .activesub import fd_cost, subspace_from_surrogate
 from .errors import DimensionError, NumericalError, ParameterError
-from .probspace import ProbabilisticModel, Space, sobol_points, transform, uniform_stream
+from .probspace import ProbabilisticModel, sobol_points, uniform_stream
 from .spce import SparsePceModel, fit_lar
 
 SCATTER_ROWS = 4096  # surrogate Monte-Carlo samples kept for the subspace scatter
@@ -131,7 +131,7 @@ def _failure_fraction(stream, limit_state_values, what: str) -> float:
     return failures / done
 
 
-def mcs_probability(g_eval, model: ProbabilisticModel, n: int, seed: int,
+def mcs_probability(limit_state, model: ProbabilisticModel, n: int, seed: int,
                     method: str = "mcs") -> ReliabilityResult:
     """Direct Monte-Carlo failure probability with the indicator-mean estimator.
 
@@ -141,13 +141,8 @@ def mcs_probability(g_eval, model: ProbabilisticModel, n: int, seed: int,
     """
     if n < 1:
         raise ParameterError(f"sample size must be positive, got {n}")
-    evaluate = g_eval.evaluate if hasattr(g_eval, "evaluate") else g_eval
-
-    def limit_state_values(u):
-        return evaluate(np.column_stack(
-            [m.ppf(u[:, i]) for i, m in enumerate(model.marginals)]))
-
-    pf = _failure_fraction(uniform_stream(seed, n, model.dim), limit_state_values,
+    pf = _failure_fraction(uniform_stream(seed, n, model.dim),
+                           lambda u: limit_state.evaluate(model.to_physical(u)),
                            "limit state value")
     return ReliabilityResult(method=method, pf=pf, beta=reliability_index(pf),
                              n_model_evals=n, cov_pf=_estimator_cov(pf, n),
@@ -209,10 +204,10 @@ def fit_training(limit_state, model: ProbabilisticModel,
             f"limit state has {limit_state.dim} variables, model has {model.dim}")
     counter = CountingLimitState(limit_state)
     u = sobol_points(config.n_train, model.dim)
-    y = counter.evaluate(transform(u, Space.PHYSICAL, model).values)
+    y = counter.evaluate(model.to_physical(u))
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite limit state value in the training design")
-    xi = 2.0 * u.values - 1.0
+    xi = 2.0 * u - 1.0
     spce_model = fit_lar(xi, y, config.p_max, max_terms=config.lar_max_terms)
     return Training(model=model, xi=xi, y=y, spce_model=spce_model,
                     n_model_evals=counter.n_evals)

@@ -38,7 +38,7 @@ def test_ridge_function_is_numerically_rank_one():
         # f(x) = sin(w.x) so grad f = cos(w.x) w
         return np.cos(x @ w)[:, None] * w
 
-    samples = 2.0 * sobol_points(500, 10).values - 1.0
+    samples = 2.0 * sobol_points(500, 10) - 1.0
     c = estimate_c(grad, samples)
     vec, lam = eigendecompose(c)
     assert lam[1] / lam[0] <= 1e-10
@@ -107,7 +107,7 @@ def test_additive_function_eigenvalue_count():
         g[:, :k] = np.cos(x[:, :k]) + 1.5
         return g
 
-    samples = 2.0 * sobol_points(400, dim).values - 1.0
+    samples = 2.0 * sobol_points(400, dim) - 1.0
     c = estimate_c(grad, samples)
     _, lam = eigendecompose(c)
     assert int(np.sum(lam > 1e-8 * lam[0])) == k
@@ -183,7 +183,7 @@ def test_subspace_from_surrogate_ridge_round_trip():
     rng = np.random.default_rng(7)
     w = np.array([3.0, -1.0, 2.0, 0.5, 0.0, 0.0]) / np.linalg.norm(
         [3.0, -1.0, 2.0, 0.5, 0.0, 0.0])
-    xi = 2.0 * sobol_points(200, 6).values - 1.0
+    xi = 2.0 * sobol_points(200, 6) - 1.0
     y = (xi @ w) ** 3 + 2.0 * (xi @ w)
     surrogate = fit_lar(xi, y, p_max=3)
     sub = subspace_from_surrogate(surrogate, mu=0.98, skip=200)

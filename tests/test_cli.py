@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -14,6 +16,7 @@ from sasrel.cli import StudyConfig, main
 from sasrel.reliability import CountingLimitState
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+HOOKS_FILE = pathlib.Path(__file__).resolve().parents[1] / "studybench" / "hooks.py"
 
 FAST_STUDY = {
     "benchmark": "sobol-m10",
@@ -320,3 +323,21 @@ def test_config_keys_override_the_registry(tmp_path):
         hpcfe_config=dataclasses.replace(registry.hpcfe_config, restarts=2,
                                          nm_max_evals=60))
     assert cfg.n_mcs == 20000
+
+
+def test_study_benchmark_hooks_resolve(monkeypatch):
+    """Every name the study benchmark patches still exists where callers look it up."""
+    spec = importlib.util.spec_from_file_location("studybench_hooks", HOOKS_FILE)
+    hooks = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, hooks)
+    spec.loader.exec_module(hooks)
+    assert hooks.HOOKS
+    for _, owner_path, attr, _, _ in hooks.HOOKS:
+        module_name, _, class_name = owner_path.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            owner = getattr(owner, class_name)
+            # the hook patches the class attribute itself, not an inherited one
+            assert attr in vars(owner), f"{owner_path}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr}"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -44,10 +45,21 @@ def test_design_matrix_two_dim_count_and_dedup():
     # 2*b univariate columns plus b^2 genuinely bivariate products
     assert psi.shape == (6, 8)
     rows = list(map(tuple, basis_map.tolist()))
-    assert len(rows) == len(set(rows))  # same product from two components collapses
+    assert len(rows) == len(set(rows))  # component sets are disjoint
     assert (0, 0) not in rows
     totals = [sum(r) for r in rows]
     assert totals == sorted(totals)  # canonical graded order
+
+
+@pytest.mark.parametrize("r, M, b", [(1, 1, 2), (2, 2, 3), (3, 1, 4), (3, 2, 5),
+                                     (4, 3, 3), (5, 5, 2)])
+def test_design_matrix_basis_map_matches_brute_force(r, M, b):
+    z = np.random.default_rng(2).uniform(-1, 1, size=(4, r))
+    _, basis_map = build_design_matrix(z, HpcfeConfig(M=M, b=b))
+    brute = [a for a in itertools.product(range(b + 1), repeat=r)
+             if 1 <= np.count_nonzero(a) <= M]
+    brute.sort(key=lambda a: (sum(a), tuple(-x for x in a)))
+    np.testing.assert_array_equal(basis_map, np.asarray(brute))
 
 
 def test_correlation_matrix_formula():
@@ -243,7 +255,7 @@ def test_likelihood_at_optimum_beats_every_start():
 
     best = concentrated_ll(model)
     lo, hi = np.log10(cfg.theta_bounds)
-    starts = 10.0 ** (lo + (hi - lo) * sobol_points(cfg.restarts, 2).values)
+    starts = 10.0 ** (lo + (hi - lo) * sobol_points(cfg.restarts, 2))
     for theta0 in starts:
         assert best >= concentrated_ll(fit_fixed_theta(z, y, theta0, cfg)) - 1e-9
 

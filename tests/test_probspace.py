@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sasrel.errors import DomainError, ParameterError
+from sasrel.errors import DimensionError, DomainError, ParameterError
 from sasrel.probspace import (
     SAMPLE_CHUNK,
     Marginal,
     ProbabilisticModel,
-    SampleMatrix,
-    Space,
     mc_sample,
     moment_match,
     sobol_points,
-    transform,
 )
 
 
@@ -75,56 +72,48 @@ def test_truncation_validation():
 def test_transform_roundtrip_all_kinds():
     model = make_model()
     rng = np.random.default_rng(7)
-    u = SampleMatrix(0.02 + 0.96 * rng.random((200, model.dim)), Space.STD_UNIFORM)
-    x = transform(u, Space.PHYSICAL, model)
-    assert x.space is Space.PHYSICAL
-    xi = transform(x, Space.STD_LEGENDRE, model)
-    assert xi.space is Space.STD_LEGENDRE
-    np.testing.assert_allclose(xi.values, 2.0 * u.values - 1.0, atol=1e-9)
-    back = transform(xi, Space.PHYSICAL, model)
-    np.testing.assert_allclose(back.values, x.values, rtol=1e-9, atol=1e-9)
+    u = 0.02 + 0.96 * rng.random((200, model.dim))
+    x = model.to_physical(u)
+    assert x.shape == u.shape
+    for i, m in enumerate(model.marginals):
+        np.testing.assert_array_equal(x[:, i], m.ppf(u[:, i]))
+        np.testing.assert_allclose(m.cdf(x[:, i]), u[:, i], atol=1e-9)
+    with pytest.raises(DimensionError):
+        model.to_physical(u[:, :3])
+    with pytest.raises(DimensionError):
+        model.to_physical(u[0])
+    with pytest.raises(DomainError):
+        model.to_physical(np.full((1, model.dim), 1.5))
 
 
 def test_transform_with_truncation():
     model = ProbabilisticModel((
         Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0)),
     ))
-    u = SampleMatrix(np.linspace(0.001, 0.999, 50)[:, None], Space.STD_UNIFORM)
-    x = transform(u, Space.PHYSICAL, model)
-    assert x.values.min() >= 5.0
-    assert x.values.max() <= 19.0
-    u2 = transform(x, Space.STD_UNIFORM, model)
-    np.testing.assert_allclose(u2.values, u.values, atol=1e-10)
-
-
-def test_sample_matrix_validation():
-    with pytest.raises(DomainError):
-        SampleMatrix(np.array([[0.0, 0.5]]), Space.STD_UNIFORM)
-    with pytest.raises(DomainError):
-        SampleMatrix(np.array([[1.5, 0.0]]), Space.STD_LEGENDRE)
-    from sasrel.errors import DimensionError
-
-    with pytest.raises(DimensionError):
-        SampleMatrix(np.zeros(4), Space.PHYSICAL)
+    u = np.linspace(0.001, 0.999, 50)[:, None]
+    x = model.to_physical(u)
+    assert x.min() >= 5.0
+    assert x.max() <= 19.0
+    np.testing.assert_allclose(model.marginals[0].cdf(x[:, 0]), u[:, 0], atol=1e-10)
 
 
 def test_sobol_first_points_frozen():
     np.testing.assert_allclose(
-        sobol_points(4, 1).values.ravel(), [0.5, 0.75, 0.25, 0.375])
+        sobol_points(4, 1).ravel(), [0.5, 0.75, 0.25, 0.375])
     np.testing.assert_allclose(
-        sobol_points(3, 3).values,
+        sobol_points(3, 3),
         [[0.5, 0.5, 0.5], [0.75, 0.25, 0.25], [0.25, 0.75, 0.75]])
     np.testing.assert_allclose(
-        sobol_points(2, 1, skip=2).values.ravel(), [0.25, 0.375])
+        sobol_points(2, 1, skip=2).ravel(), [0.25, 0.375])
 
 
 def test_sobol_points_open_interval_and_deterministic():
     a = sobol_points(500, 20)
     b = sobol_points(500, 20)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.values.min() > 0.0
-    assert a.values.max() < 1.0
-    assert a.space is Space.STD_UNIFORM
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (500, 20)
+    assert a.min() > 0.0
+    assert a.max() < 1.0
 
 
 def test_sobol_dimension_limits():
@@ -141,28 +130,17 @@ def test_mc_sample_deterministic_and_prefix_stable():
     model = make_model()
     a = mc_sample(model, 200, seed=42)
     b = mc_sample(model, 200, seed=42)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.space is Space.PHYSICAL
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (200, model.dim)
     half = mc_sample(model, 100, seed=42)
-    np.testing.assert_array_equal(a.values[:100], half.values)
+    np.testing.assert_array_equal(a[:100], half)
     c = mc_sample(model, 200, seed=43)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_mc_sample_chunk_boundary_stable():
     model = ProbabilisticModel((Marginal(kind="uniform", lo=0.0, hi=1.0),))
     full = mc_sample(model, SAMPLE_CHUNK + 7, seed=3)
     head = mc_sample(model, SAMPLE_CHUNK, seed=3)
-    np.testing.assert_array_equal(full.values[:SAMPLE_CHUNK], head.values)
-    assert full.n == SAMPLE_CHUNK + 7
-
-
-def test_model_json_roundtrip():
-    model = ProbabilisticModel((
-        Marginal(kind="uniform", lo=-2.0, hi=3.0, name="a"),
-        Marginal(kind="lognormal", mean=30.0, sd=7.5, truncation=(10.0, 60.0), name="b"),
-    ))
-    text = model.to_json()
-    again = ProbabilisticModel.from_json(text)
-    assert again == model
-    assert again.marginals[1].truncation == (10.0, 60.0)
+    np.testing.assert_array_equal(full[:SAMPLE_CHUNK], head)
+    assert full.shape == (SAMPLE_CHUNK + 7, 1)

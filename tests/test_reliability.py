@@ -86,7 +86,7 @@ def test_mcs_deterministic_and_matches_batch_sample():
     a = mcs_probability(ls, model, n=5000, seed=3)
     b = mcs_probability(ls, model, n=5000, seed=3)
     assert a.pf == b.pf
-    x = mc_sample(model, 5000, seed=3).values
+    x = mc_sample(model, 5000, seed=3)
     pf_batch = np.mean(ls.evaluate(x) < 0.0)
     assert a.pf == pf_batch
 

@@ -11,7 +11,7 @@ from sasrel.spce import SparsePceModel, fit_lar, lar_path, loo_error
 
 
 def std_doe(n, dim):
-    return 2.0 * sobol_points(n, dim).values - 1.0
+    return 2.0 * sobol_points(n, dim) - 1.0
 
 
 def test_linear_response_recovers_single_term():
