@@ -28,6 +28,13 @@ from .probspace import sobol_points
 
 _NUGGET_RETRIES = 3
 
+# Byte budget of one prediction block's rows x n_train cross-kernel, so that
+# prediction memory is bounded in both the point count and n_train.
+KERNEL_BLOCK_BYTES = 8 * 2**20
+# Block rows are a whole multiple of this, so every row meets the same BLAS
+# kernel path (OpenBLAS gemv takes rows in groups) as in one unblocked call.
+_BLOCK_ROW_ALIGN = 64
+
 
 @dataclass(frozen=True)
 class HpcfeConfig:
@@ -87,7 +94,9 @@ def build_design_matrix(z: np.ndarray, config: HpcfeConfig) -> tuple[np.ndarray,
 
 def _kernel_cross(z_new: np.ndarray, z_train: np.ndarray, theta: np.ndarray) -> np.ndarray:
     sq = np.sqrt(np.asarray(theta, dtype=float))
-    return np.exp(-cdist(z_new * sq, z_train * sq, "sqeuclidean"))
+    k = cdist(z_new * sq, z_train * sq, "sqeuclidean")
+    np.negative(k, out=k)
+    return np.exp(k, out=k)
 
 
 def correlation_matrix(z: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
@@ -187,26 +196,43 @@ class HpcfeModel:
                 f"points have {z.shape[1]} coordinates, model has {self.box_lo.shape[0]}")
         return 2.0 * (z - self.box_lo) / (self.box_hi - self.box_lo) - 1.0
 
-    def _prepare(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        zs = self._rescale(z)
+    def _blocks(self, zs: np.ndarray):
+        """(rows, trend design, cross-kernel) per row block of rescaled points.
+
+        A block holds the most whole multiples of ``_BLOCK_ROW_ALIGN`` rows
+        whose rows x n_train kernel fits ``KERNEL_BLOCK_BYTES``, and at least
+        one multiple.
+        """
         if np.any(np.abs(zs) > 1.0 + 1e-12):
             self.saw_extrapolation = True
-        phi = eval_design_matrix(BasisSet(self.basis_map), zs, check_domain=False)
-        return phi, _kernel_cross(zs, self._zs, self.theta)
+        basis = BasisSet(self.basis_map)
+        fit_rows = KERNEL_BLOCK_BYTES // (8 * self._zs.shape[0])
+        step = max(_BLOCK_ROW_ALIGN, fit_rows - fit_rows % _BLOCK_ROW_ALIGN)
+        for start in range(0, zs.shape[0], step):
+            block = zs[start:start + step]
+            yield (slice(start, start + step),
+                   eval_design_matrix(basis, block, check_domain=False),
+                   _kernel_cross(block, self._zs, self.theta))
 
     def predict_mean(self, z: np.ndarray) -> np.ndarray:
         """Predictive mean at reduced-space points; shape (n,)."""
-        phi, k = self._prepare(z)
-        return self.g0 + phi @ self.alpha + k @ self._w_resid
+        zs = self._rescale(z)
+        out = np.empty(zs.shape[0])
+        for rows, phi, k in self._blocks(zs):
+            out[rows] = self.g0 + phi @ self.alpha + k @ self._w_resid
+        return out
 
     def predict_variance(self, z: np.ndarray) -> np.ndarray:
         """Universal-kriging predictive variance at reduced-space points; >= 0."""
-        phi, k = self._prepare(z)
-        lk = solve_triangular(self._chol, k.T, lower=True)
-        quad_sk = np.einsum("ij,ij->j", lk, lk)
-        u = self._x.T @ lk - phi.T
-        quad_trend = np.einsum("ij,ij->j", u, self._a_pinv @ u)
-        return np.clip(self.sigma2 * (1.0 - quad_sk + quad_trend), 0.0, None)
+        zs = self._rescale(z)
+        out = np.empty(zs.shape[0])
+        for rows, phi, k in self._blocks(zs):
+            lk = solve_triangular(self._chol, k.T, lower=True)
+            quad_sk = np.einsum("ij,ij->j", lk, lk)
+            u = self._x.T @ lk - phi.T
+            quad_trend = np.einsum("ij,ij->j", u, self._a_pinv @ u)
+            out[rows] = np.clip(self.sigma2 * (1.0 - quad_sk + quad_trend), 0.0, None)
+        return out
 
     def to_json(self) -> str:
         return json.dumps({

@@ -131,6 +131,9 @@ class Marginal:
         u = np.asarray(u, dtype=float)
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise DomainError("probability levels must lie in [0, 1]")
+        if self.kind == "uniform" and self.truncation is None:
+            # scipy's uniform ppf is this expression; skip its frozen distribution
+            return self.lo + u * (self.hi - self.lo)
         dist = self._base_dist()
         if self.truncation is not None:
             ua, ub = dist.cdf(self.truncation[0]), dist.cdf(self.truncation[1])

@@ -11,7 +11,11 @@ surrogate Monte Carlo.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,6 +56,7 @@ class CountingLimitState:
     def __init__(self, inner: LimitState):
         self.inner = inner
         self.n_evals = 0
+        self._lock = threading.Lock()  # Monte Carlo chunks evaluate concurrently
 
     @property
     def name(self) -> str:
@@ -63,7 +68,8 @@ class CountingLimitState:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         out = self.inner.evaluate(x)
-        self.n_evals += out.shape[0]
+        with self._lock:
+            self.n_evals += out.shape[0]
         return out
 
 
@@ -112,22 +118,59 @@ def _estimator_cov(pf: float, n: int) -> float:
     return math.sqrt((1.0 - pf) / (n * pf))
 
 
+# Most Monte Carlo chunks evaluated at once, whatever the core count.  Each
+# chunk under evaluation holds its sample block, its transformed copy and the
+# surrogate's work arrays (about 120 MB per chunk on the beam study), so this
+# cap bounds the pool's memory on many-core hosts.
+MAX_POOL_WORKERS = 4
+
+
+def _pool_workers() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _failure_fraction(stream, limit_state_values, what: str) -> float:
     """Fraction of streamed U(0,1) samples with g < 0.
 
-    ``limit_state_values`` maps one chunk of ``stream`` to its g values; a
-    non-finite value raises instead of counting as safe.
+    ``limit_state_values(i, u)`` maps chunk ``i`` of ``stream`` to its g
+    values.  Chunks are evaluated on a pool of one thread per core, at most
+    ``MAX_POOL_WORKERS``, with at most one chunk more than the pool in
+    flight, so memory grows with neither the sample size nor the core count.
+    Results are collected in chunk order on the calling thread and the
+    failure count is an integer sum, so the fraction does not depend on the
+    pool size.  A non-finite value raises instead of
+    counting as safe, naming the first such sample in stream order.
     """
+    workers = min(_pool_workers(), MAX_POOL_WORKERS)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending = deque()  # (rows, future) per chunk in flight, in chunk order
     failures = 0
     done = 0
-    for u in stream:
-        g = np.asarray(limit_state_values(u), dtype=float).reshape(u.shape[0])
+
+    def collect_oldest() -> None:
+        nonlocal failures, done
+        rows, future = pending.popleft()
+        g = np.asarray(future.result(), dtype=float).reshape(rows)
         finite = np.isfinite(g)
         if not finite.all():
             raise NumericalError(
                 f"non-finite {what} at sample {done + int(np.argmin(finite))}")
         failures += int(np.count_nonzero(g < 0.0))
-        done += u.shape[0]
+        done += rows
+
+    try:
+        for i, u in enumerate(stream):
+            pending.append((u.shape[0], pool.submit(limit_state_values, i, u)))
+            if len(pending) > workers:
+                collect_oldest()
+        while pending:
+            collect_oldest()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return failures / done
 
 
@@ -137,12 +180,15 @@ def mcs_probability(limit_state, model: ProbabilisticModel, n: int, seed: int,
 
     Samples stream in fixed chunks from the same seeded substreams as
     ``mc_sample``, so the estimate is reproducible and identical to evaluating
-    the one-shot sample matrix.
+    the one-shot sample matrix.  Chunks are evaluated concurrently on a pool
+    sized by the available cores, so ``limit_state.evaluate`` must be safe to
+    call from several threads at once; the estimate does not depend on the
+    pool size.
     """
     if n < 1:
         raise ParameterError(f"sample size must be positive, got {n}")
     pf = _failure_fraction(uniform_stream(seed, n, model.dim),
-                           lambda u: limit_state.evaluate(model.to_physical(u)),
+                           lambda _, u: limit_state.evaluate(model.to_physical(u)),
                            "limit state value")
     return ReliabilityResult(method=method, pf=pf, beta=reliability_index(pf),
                              n_model_evals=n, cov_pf=_estimator_cov(pf, n),
@@ -244,14 +290,14 @@ def sas_hpcfe_pipeline(training: Training,
 
     reduced = hp.fit(subspace.project(training.xi), training.y, config.hpcfe_config)
 
-    scatter = []
+    scatter = {}  # filled by chunk 0, whichever thread evaluates it
 
-    def predict(u):
+    def predict(i, u):
         z = subspace.project(2.0 * u - 1.0)
         g = reduced.predict_mean(z)
-        if not scatter:
-            scatter.append(np.column_stack(
-                [z[:SCATTER_ROWS], (g[:SCATTER_ROWS] < 0.0).astype(float)]))
+        if i == 0:
+            scatter[0] = np.column_stack(
+                [z[:SCATTER_ROWS], (g[:SCATTER_ROWS] < 0.0).astype(float)])
         return g
 
     pf = _failure_fraction(uniform_stream(config.seed, config.n_mcs, model.dim),
@@ -274,7 +320,7 @@ def spce_only_pipeline(training: Training, config: PipelineConfig) -> Reliabilit
     surrogate = training.spce_model
     pf = _failure_fraction(
         uniform_stream(config.seed, config.n_mcs, training.model.dim),
-        lambda u: surrogate.predict(2.0 * u - 1.0), "surrogate prediction")
+        lambda _, u: surrogate.predict(2.0 * u - 1.0), "surrogate prediction")
     return ReliabilityResult(
         method="spce", pf=pf, beta=reliability_index(pf),
         n_model_evals=training.n_model_evals, n_surrogate_evals=config.n_mcs,

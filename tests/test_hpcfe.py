@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sasrel import hpcfe
 from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import (
     HpcfeConfig,
@@ -281,6 +282,35 @@ def test_extrapolation_flag():
     assert not model.saw_extrapolation
     model.predict_mean(np.array([[5.0, 5.0]]))
     assert model.saw_extrapolation
+
+
+def test_blocked_prediction_equals_one_block(monkeypatch):
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-1, 1, size=(25, 2))
+    model = fit(z, np.tanh(z[:, 0]) + 0.3 * z[:, 1] ** 2, small_config())
+    probe = rng.uniform(-1.1, 1.1, size=(1000, 2))
+    cases = (probe, probe[:0], probe[:1], probe[0])
+
+    monkeypatch.setattr(hpcfe, "KERNEL_BLOCK_BYTES", 2**40)
+    one_block = [(model.predict_mean(p), model.predict_variance(p)) for p in cases]
+
+    block_rows = []
+    kernel_cross = hpcfe._kernel_cross
+
+    def counted(z_new, z_train, theta):
+        block_rows.append(z_new.shape[0])
+        return kernel_cross(z_new, z_train, theta)
+
+    monkeypatch.setattr(hpcfe, "_kernel_cross", counted)
+    # 200 rows of 25 kernel entries fit the budget; blocks round down to 192 rows
+    monkeypatch.setattr(hpcfe, "KERNEL_BLOCK_BYTES", 8 * 25 * 200)
+    for p, (mean, var) in zip(cases, one_block):
+        assert model.predict_mean(p).tobytes() == mean.tobytes()
+        assert model.predict_variance(p).tobytes() == var.tobytes()
+    assert [mean.shape for mean, _ in one_block] == [(1000,), (0,), (1,), (1,)]
+    block_rows.clear()
+    model.predict_mean(probe)
+    assert block_rows == [192] * 5 + [40]
 
 
 def test_json_roundtrip_preserves_predictions():

@@ -97,6 +97,16 @@ def test_transform_with_truncation():
     np.testing.assert_allclose(model.marginals[0].cdf(x[:, 0]), u[:, 0], atol=1e-10)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.2, 7.1), (2.0, 2.5)])
+def test_uniform_ppf_bitwise_equals_scipy(lo, hi):
+    m = Marginal(kind="uniform", lo=lo, hi=hi)
+    u = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(3).random(1000)])
+    assert m.ppf(u).tobytes() == m._base_dist().ppf(u).tobytes()
+    assert m.ppf(0.5) == m._base_dist().ppf(0.5)
+    with pytest.raises(DomainError):
+        m.ppf(np.array([0.5, 1.5]))
+
+
 def test_sobol_first_points_frozen():
     np.testing.assert_allclose(
         sobol_points(4, 1).ravel(), [0.5, 0.75, 0.25, 0.375])

@@ -1,15 +1,19 @@
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from sasrel import probspace, reliability
 from sasrel.cli import RESULT_COLUMNS, _fmt
 from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import HpcfeConfig, HpcfeModel
-from sasrel.probspace import Marginal, ProbabilisticModel, mc_sample
+from sasrel.probspace import Marginal, ProbabilisticModel, mc_sample, uniform_stream
 from sasrel.reliability import (
+    SCATTER_ROWS,
     CountingLimitState,
     LimitState,
     PipelineConfig,
@@ -121,6 +125,99 @@ def test_mcs_nonfinite_reports_sample_index():
         mcs_probability(LimitState("bad", 1, g), model, n=100, seed=0)
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # 1000-row chunks make a many-chunk stream with a ragged last chunk cheap
+    monkeypatch.setattr(probspace, "SAMPLE_CHUNK", 1000)
+
+
+def test_pool_size_does_not_change_estimates_or_scatter(monkeypatch, small_chunks):
+    model = uniform_model(6)
+    cfg = cheap_pipeline_config(n_train=48, p_max=2, n_mcs=10_500, seed=3)
+    training = fit_training(additive_plane_state(), model, cfg)
+    threads = threading.active_count()
+    outcomes = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(reliability, "_pool_workers", lambda w=workers: w)
+        mcs = mcs_probability(additive_plane_state(), model, n=10_500, seed=3)
+        spce = spce_only_pipeline(training, cfg)
+        sas, art = sas_hpcfe_pipeline(training, cfg)
+        outcomes.append((mcs.pf, spce.pf, sas.pf, art.scatter.tobytes()))
+        assert threading.active_count() == threads
+        if workers == 1:
+            # the scatter is the head of chunk 0 ...
+            u0 = next(uniform_stream(cfg.seed, cfg.n_mcs, model.dim))
+            head = art.subspace.project(2.0 * u0 - 1.0)[:SCATTER_ROWS]
+            assert art.scatter[:, :-1].tobytes() == head.tobytes()
+            # ... also when chunk 0 finishes last on a pool
+            predict_mean = HpcfeModel.predict_mean
+
+            def chunk0_slow(self, z):
+                if z[0, 0] == head[0, 0]:
+                    time.sleep(0.2)
+                return predict_mean(self, z)
+
+            monkeypatch.setattr(HpcfeModel, "predict_mean", chunk0_slow)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_pooled_nonfinite_names_first_sample_in_stream_order(monkeypatch, small_chunks):
+    model = uniform_model(1)
+    x = mc_sample(model, 5000, seed=0)[:, 0]
+    in_chunk2, in_chunk3 = x[2017], x[3004]
+    assert np.count_nonzero(x == in_chunk2) == np.count_nonzero(x == in_chunk3) == 1
+
+    def g(x):
+        if np.any(x[:, 0] == in_chunk2):
+            time.sleep(0.2)  # on a pool, chunk 3 finishes first
+        out = np.ones(len(x))
+        out[(x[:, 0] == in_chunk2) | (x[:, 0] == in_chunk3)] = np.nan
+        return out
+
+    threads = threading.active_count()
+    for workers in (1, 3):
+        monkeypatch.setattr(reliability, "_pool_workers", lambda w=workers: w)
+        with pytest.raises(NumericalError, match="sample 2017$"):
+            mcs_probability(LimitState("bad", 1, g), model, n=5000, seed=0)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cores, workers", [(2, 2), (64, reliability.MAX_POOL_WORKERS)])
+def test_pool_draws_at_most_one_chunk_beyond_its_threads(monkeypatch, cores, workers):
+    # on many cores the pool, and with it the chunks in flight, stops at the cap
+    n_chunks = 2 * reliability.MAX_POOL_WORKERS + 2
+    monkeypatch.setattr(reliability, "_pool_workers", lambda: cores)
+    drawn = []
+    released = [threading.Event() for _ in range(n_chunks)]
+
+    def stream():
+        for i in range(n_chunks):
+            drawn.append(i)
+            yield np.zeros((10, 1))
+
+    def values(i, u):
+        if not released[i].wait(timeout=10):
+            raise TimeoutError(f"chunk {i} never released")
+        return np.ones(u.shape[0])
+
+    out = []
+    runner = threading.Thread(
+        target=lambda: out.append(reliability._failure_fraction(stream(), values, "g")))
+    runner.start()
+    try:
+        for i in range(n_chunks):
+            time.sleep(0.05)
+            # chunks i and later are held back, so at most i chunks are collected
+            assert len(drawn) <= i + workers + 1
+            released[i].set()
+    finally:
+        for event in released:
+            event.set()
+        runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert out == [0.0] and len(drawn) == n_chunks
+
+
 def test_limit_state_dimension_check():
     ls = LimitState("plane", 4, lambda x: x.sum(axis=1))
     with pytest.raises(DimensionError):
@@ -151,7 +248,7 @@ def test_pipeline_recovers_analytic_pf():
     assert set(np.unique(art.scatter[:, -1])) <= {0.0, 1.0}
 
 
-def test_pipeline_audits_model_eval_budget():
+def test_pipeline_audits_model_eval_budget(monkeypatch, small_chunks):
     calls = {"n": 0}
 
     def g(x):
@@ -166,6 +263,11 @@ def test_pipeline_audits_model_eval_budget():
     res, _ = sas_hpcfe_pipeline(training, cfg)
     assert calls["n"] == 48
     assert res.n_model_evals == 48
+    # direct Monte Carlo on a pool counts every row of every chunk
+    monkeypatch.setattr(reliability, "_pool_workers", lambda: 3)
+    counted = CountingLimitState(LimitState("plane6", 6, g))
+    mcs_probability(counted, model, n=2500, seed=1)
+    assert counted.n_evals == calls["n"] - 48 == 2500
 
 
 def test_spce_only_pipeline():
