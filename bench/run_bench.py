@@ -1,0 +1,182 @@
+"""Stage-by-stage timing of the sasrel pipeline on registry studies.
+
+    python3 bench/run_bench.py --label change --out BENCH_9.json sobol-m10 beam
+    python3 bench/run_bench.py --src ../other-checkout/src --label parent \\
+        --out BENCH_9.json sobol-m10 beam
+
+Each study runs at its registry settings in a fresh child interpreter, so
+that peak RSS (``ru_maxrss``) belongs to that study alone, with OpenBLAS
+pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is already set.  The
+child imports ``sasrel`` from ``--src`` (default: this checkout's ``src``),
+calls the pipeline stages directly, as ``sasrel run`` does, and times them:
+
+- ``ref_mcs_s``: the reference Monte Carlo on the true model
+- ``doe_lar_s``: the Sobol training design and the LAR fit
+- ``spce_mcs_s``: the Monte Carlo on the sparse expansion
+- ``subspace_s``: the active subspace from the expansion's gradients
+- ``hpcfe_fit_s``: the HPCFE fit (length-scale search and final assembly)
+- ``hpcfe_predict_s``: the Monte Carlo on the HPCFE surrogate (wall time)
+
+It also records the number of concentrated-likelihood evaluations (the
+final assembly included), their total seconds and the part of it spent
+building and factoring the correlation matrix (``corr_chol_s``, which also
+counts the one factorization of the fitted model), the final log-likelihood,
+the fitted length scales, pf/beta/r per method, the surrogates' beta error
+against the reference, the BLAS thread setting and the numpy and scipy
+versions.  The record goes into the JSON file ``--out`` under ``runs[<label>]``; other
+labels already in the file are kept, so a parent and a change can share one
+file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _timed(fn, seconds: dict, key: str):
+    """``fn`` wrapped to add its wall time to ``seconds[key]``."""
+    def wrapped(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[key] += time.perf_counter() - start
+    return wrapped
+
+
+def run_study(name: str, seed: int) -> dict:
+    """One registry study, stage by stage, in this interpreter."""
+    import numpy as np
+    import scipy
+
+    from sasrel import hpcfe, reliability
+    from sasrel.benchmarks.registry import get_benchmark
+
+    bench = get_benchmark(name)
+    cfg = replace(bench.pipeline, seed=seed)
+    seconds = dict.fromkeys(("subspace_s", "hpcfe_fit_s"), 0.0)
+    likelihood = {"evals": 0, "final": None, "s": 0.0, "corr_chol_s": 0.0}
+    profile = _timed(hpcfe._profile_likelihood, likelihood, "s")
+
+    def counted_profile(*args, **kwargs):
+        out = profile(*args, **kwargs)
+        likelihood["evals"] += 1
+        likelihood["final"] = out[0]  # the last call is the final assembly
+        return out
+
+    hpcfe._profile_likelihood = counted_profile
+    hpcfe._chol_with_retries = _timed(hpcfe._chol_with_retries, likelihood, "corr_chol_s")
+    hpcfe.fit = _timed(hpcfe.fit, seconds, "hpcfe_fit_s")
+    reliability.subspace_from_surrogate = _timed(
+        reliability.subspace_from_surrogate, seconds, "subspace_s")
+
+    def stage(key, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        seconds[key] = time.perf_counter() - start
+        return out
+
+    ref = stage("ref_mcs_s", reliability.mcs_probability, bench.limit_state,
+                bench.model, bench.mcs_n, seed)
+    training = stage("doe_lar_s", reliability.fit_training, bench.limit_state,
+                     bench.model, cfg)
+    spce = stage("spce_mcs_s", reliability.spce_only_pipeline, training, cfg)
+    sas, artifacts = stage("sas_s", reliability.sas_hpcfe_pipeline, training, cfg)
+    seconds["hpcfe_predict_s"] = \
+        seconds.pop("sas_s") - seconds["subspace_s"] - seconds["hpcfe_fit_s"]
+
+    def beta_err(res):
+        return abs(res.beta - ref.beta) / abs(ref.beta) * 100.0
+
+    model = artifacts.hpcfe_model
+    return {
+        "seed": seed,
+        "stage_s": {k: round(v, 3) for k, v in seconds.items()},
+        "likelihood_evals": likelihood["evals"],
+        "likelihood_s": round(likelihood["s"], 3),
+        "corr_chol_s": round(likelihood["corr_chol_s"], 3),
+        "final_log_likelihood": likelihood["final"],
+        "theta": model.theta.tolist(),
+        "nugget": model.nugget,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "results": {res.method: {"pf": res.pf, "beta": res.beta, "r": res.r}
+                    for res in (ref, spce, sas)},
+        "beta_err_pct": {"spce": beta_err(spce), "sas-hpcfe": beta_err(sas)},
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("studies", nargs="+", help="registry study names")
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="directory that holds the sasrel package to time")
+    ap.add_argument("--seed", type=int, default=5, help="Monte Carlo seed")
+    ap.add_argument("--label", default="run", help="key of this run in the output file")
+    ap.add_argument("--out", help="JSON file to add the run to; stdout if omitted")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    src = str(Path(args.src).resolve())
+
+    if args.child:
+        sys.path.insert(0, src)
+        print(json.dumps(run_study(args.studies[0], args.seed)))
+        return 0
+
+    env = dict(os.environ)
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    studies = {}
+    for name in args.studies:
+        cmd = [sys.executable, __file__, "--child", "--src", src,
+               "--seed", str(args.seed), name]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr)
+            return done.returncode
+        studies[name] = json.loads(done.stdout.splitlines()[-1])
+        print(f"{name}: {json.dumps(studies[name]['stage_s'])}", file=sys.stderr)
+
+    record = {
+        "environment": {
+            "cpu": _cpu_model(),
+            "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "studies": studies,
+    }
+    if args.out is None:
+        print(json.dumps(record, indent=2))
+        return 0
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {"runs": {}}
+    doc["runs"][args.label] = record
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,11 +19,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from .errors import DimensionError, NumericalError, ParameterError
-from .polybasis import BasisSet, eval_design_matrix
+from .polybasis import BasisSet, eval_design_matrix, row_blocks
 from .probspace import sobol_points
 
 _NUGGET_RETRIES = 3
@@ -31,9 +32,6 @@ _NUGGET_RETRIES = 3
 # Byte budget of one prediction block's rows x n_train cross-kernel, so that
 # prediction memory is bounded in both the point count and n_train.
 KERNEL_BLOCK_BYTES = 8 * 2**20
-# Block rows are a whole multiple of this, so every row meets the same BLAS
-# kernel path (OpenBLAS gemv takes rows in groups) as in one unblocked call.
-_BLOCK_ROW_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -107,20 +105,30 @@ def correlation_matrix(z: np.ndarray, theta: np.ndarray, nugget: float) -> np.nd
         raise ParameterError("length-scale parameters must be positive")
     if theta.shape[0] != z.shape[1]:
         raise DimensionError(f"{theta.shape[0]} length scales for {z.shape[1]} coordinates")
-    return _kernel_cross(z, z, theta) + nugget * np.eye(z.shape[0])
+    k = _kernel_cross(z, z, theta)
+    k.flat[::z.shape[0] + 1] += nugget
+    return k
 
 
 def _chol_with_retries(z: np.ndarray, theta: np.ndarray, nugget: float,
                        notes: list[str] | None = None) -> tuple[np.ndarray, float]:
+    """Cholesky factor of the correlation matrix, raising the nugget on failure.
+
+    LAPACK ``dpotrf`` factors the matrix in place: R is exactly symmetric, so
+    its transpose is a Fortran-ordered view of the same memory and nothing is
+    copied.  The factor L is the lower triangle of the returned array; the
+    upper triangle is left unzeroed and holds entries of R, so consumers must
+    read the lower triangle only (``lower=True`` solves, ``np.diag``).
+    """
     eff = nugget
     for attempt in range(_NUGGET_RETRIES + 1):
-        try:
-            chol = np.linalg.cholesky(correlation_matrix(z, theta, eff))
+        chol, info = dpotrf(correlation_matrix(z, theta, eff).T, lower=1,
+                            overwrite_a=1, clean=0)
+        if info == 0:
             if attempt and notes is not None:
                 notes.append(f"nugget raised to {eff:.1e} for factorization")
             return chol, eff
-        except np.linalg.LinAlgError:
-            eff *= 10.0
+        eff *= 10.0
     raise NumericalError(
         f"correlation matrix not positive definite with nugget up to {eff / 10:.1e}")
 
@@ -199,19 +207,15 @@ class HpcfeModel:
     def _blocks(self, zs: np.ndarray):
         """(rows, trend design, cross-kernel) per row block of rescaled points.
 
-        A block holds the most whole multiples of ``_BLOCK_ROW_ALIGN`` rows
-        whose rows x n_train kernel fits ``KERNEL_BLOCK_BYTES``, and at least
-        one multiple.
+        Blocks are ``polybasis.row_blocks`` whose rows x n_train kernel fits
+        ``KERNEL_BLOCK_BYTES``.
         """
         if np.any(np.abs(zs) > 1.0 + 1e-12):
             self.saw_extrapolation = True
         basis = BasisSet(self.basis_map)
-        fit_rows = KERNEL_BLOCK_BYTES // (8 * self._zs.shape[0])
-        step = max(_BLOCK_ROW_ALIGN, fit_rows - fit_rows % _BLOCK_ROW_ALIGN)
-        for start in range(0, zs.shape[0], step):
-            block = zs[start:start + step]
-            yield (slice(start, start + step),
-                   eval_design_matrix(basis, block, check_domain=False),
+        for rows in row_blocks(zs.shape[0], 8 * self._zs.shape[0], KERNEL_BLOCK_BYTES):
+            block = zs[rows]
+            yield (rows, eval_design_matrix(basis, block, check_domain=False),
                    _kernel_cross(block, self._zs, self.theta))
 
     def predict_mean(self, z: np.ndarray) -> np.ndarray:
@@ -273,7 +277,7 @@ class _TrainingData:
     box_hi: np.ndarray
     g0: float
     d: np.ndarray
-    psi: np.ndarray
+    psi_d: np.ndarray  # [trend design | d], the right sides of one triangular solve
     basis_map: np.ndarray
     var_floor: float
 
@@ -293,9 +297,10 @@ def _training_data(z: np.ndarray, y: np.ndarray, config: HpcfeConfig) -> _Traini
     box_hi = z.max(axis=0) + 0.025 * span
     zs = 2.0 * (z - box_lo) / (box_hi - box_lo) - 1.0
     g0 = float(y.mean())
+    d = y - g0
     psi, basis_map = build_design_matrix(zs, config)
-    return _TrainingData(z=z, zs=zs, box_lo=box_lo, box_hi=box_hi, g0=g0, d=y - g0,
-                         psi=psi, basis_map=basis_map,
+    return _TrainingData(z=z, zs=zs, box_lo=box_lo, box_hi=box_hi, g0=g0, d=d,
+                         psi_d=np.column_stack([psi, d]), basis_map=basis_map,
                          var_floor=max(float(np.var(y)), 1e-30) * 1e-16)
 
 
@@ -304,10 +309,10 @@ def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float,
     """Concentrated log-likelihood and trend solve at fixed length scales."""
     n = data.zs.shape[0]
     chol, eff = _chol_with_retries(data.zs, theta, nugget, notes)
-    x = solve_triangular(chol, data.psi, lower=True)
-    ld = solve_triangular(chol, data.d, lower=True)
+    solved = solve_triangular(chol, data.psi_d, lower=True, check_finite=False)
+    x, ld = solved[:, :-1], solved[:, -1]
     alpha = homotopy_solve(x.T @ x, x.T @ ld)
-    lresid = solve_triangular(chol, data.d - data.psi @ alpha, lower=True)
+    lresid = ld - x @ alpha  # L^-1 (d - psi alpha)
     sigma2 = float(lresid @ lresid) / n
     ll = -0.5 * n * math.log(max(sigma2, data.var_floor)) \
         - float(np.sum(np.log(np.diag(chol))))
@@ -346,14 +351,19 @@ def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> Hp
     log_lo, log_hi = math.log10(lo), math.log10(hi)
     starts = log_lo + (log_hi - log_lo) * sobol_points(config.restarts, r)
     max_evals = config.nm_max_evals or (60 + 40 * r)
+    # bounded Nelder-Mead can ask again for a point it clipped to a bound
+    seen: dict[bytes, float] = {}
 
     def neg_ll(log_theta: np.ndarray) -> float:
-        theta = 10.0 ** np.asarray(log_theta, dtype=float)
-        try:
-            ll, _, _, _ = _profile_likelihood(data, theta, config.nugget)
-        except NumericalError:
-            return math.inf
-        return -ll if math.isfinite(ll) else math.inf
+        log_theta = np.asarray(log_theta, dtype=float)
+        key = log_theta.tobytes()
+        if key not in seen:
+            try:
+                ll = _profile_likelihood(data, 10.0 ** log_theta, config.nugget)[0]
+            except NumericalError:
+                ll = -math.inf
+            seen[key] = -ll if math.isfinite(ll) else math.inf
+        return seen[key]
 
     candidates = []
     for x0 in starts:

@@ -24,6 +24,7 @@ from .polybasis import (
     basis_cardinality,
     eval_basis_gradient,
     eval_design_matrix,
+    row_blocks,
 )
 
 # Columns whose residual norm falls below this fraction of the original norm
@@ -37,6 +38,10 @@ _LOO_TIE_RTOL = 1e-8
 # A LOO score this small means the data are fit to machine precision and the
 # path cannot improve further.
 _LOO_EXACT = 1e-14
+
+# Byte budget of one prediction block's rows x active-terms design, so that
+# prediction memory does not grow with the point count.
+DESIGN_BLOCK_BYTES = 8 * 2**20
 
 _DESIGN_BYTES_LIMIT = 2_000_000_000
 
@@ -191,7 +196,9 @@ class SparsePceModel:
             raise DimensionError(f"points have {xi.shape[1]} columns, model has {self.dim}")
         out = np.full(xi.shape[0], self.intercept)
         if self.n_active:
-            out = out + eval_design_matrix(self.basis, xi) @ self.coefficients
+            basis = self.basis
+            for rows in row_blocks(xi.shape[0], 8 * self.n_active, DESIGN_BLOCK_BYTES):
+                out[rows] += eval_design_matrix(basis, xi[rows]) @ self.coefficients
         return out
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:

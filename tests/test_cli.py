@@ -5,9 +5,12 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sasrel import cli, reliability
@@ -16,6 +19,7 @@ from sasrel.cli import StudyConfig, main
 from sasrel.reliability import CountingLimitState
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 HOOKS_FILE = pathlib.Path(__file__).resolve().parents[1] / "studybench" / "hooks.py"
 
 FAST_STUDY = {
@@ -106,6 +110,27 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
     for name in ("results.csv", "spce_model.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_blas_thread_count_keeps_results_and_nearly_keeps_theta(tmp_path):
+    # BLAS threads change the summation order inside the HPCFE likelihood, so
+    # the fitted length scales move at round-off; the estimates must not.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                      env.get("PYTHONPATH")]))
+    outs = {}
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        outs[threads] = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "sasrel.cli", "run",
+                        "--config", str(CONFIG_DIR / "sobol-m10.json"),
+                        "--out", str(outs[threads]), "--seed", "5"],
+                       env=env, check=True, capture_output=True, timeout=300)
+    csvs = [(out / "results.csv").read_bytes() for out in outs.values()]
+    assert csvs[0] == csvs[1]
+    thetas = [json.loads((out / "sas_hpcfe_hpcfe_model.json").read_text())["theta"]
+              for out in outs.values()]
+    np.testing.assert_allclose(thetas[1], thetas[0], rtol=1e-2)
 
 
 def test_seed_override_changes_estimate(tmp_path):

@@ -86,6 +86,82 @@ def test_correlation_decay_and_validation():
         correlation_matrix(z, np.array([1.0, 1.0]), nugget=0.0)
 
 
+def test_correlation_matrix_bitwise_equals_kernel_plus_nugget_identity():
+    rng = np.random.default_rng(12)
+    z = rng.uniform(-1, 1, size=(40, 3))
+    theta = np.array([0.7, 3.0, 11.0])
+    for nugget in (1e-8, 1e-3, 0.0):
+        expected = hpcfe._kernel_cross(z, z, theta) + nugget * np.eye(40)
+        assert correlation_matrix(z, theta, nugget).tobytes() == expected.tobytes()
+
+
+def test_factor_is_lower_cholesky_in_the_correlation_matrix(monkeypatch):
+    rng = np.random.default_rng(13)
+    z = rng.uniform(-1, 1, size=(30, 2))
+    theta = np.array([2.0, 5.0])
+    reference = np.linalg.cholesky(correlation_matrix(z, theta, 1e-6))
+
+    built = []
+
+    def kept(*args):
+        built.append(correlation_matrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(hpcfe, "correlation_matrix", kept)
+    chol, eff = hpcfe._chol_with_retries(z, theta, 1e-6)
+    assert eff == 1e-6 and len(built) == 1
+    np.testing.assert_allclose(np.tril(chol), reference, rtol=1e-10, atol=0.0)
+    assert np.shares_memory(chol, built[0])  # factored in place, not a copy
+
+
+def test_duplicated_points_escalate_nugget_and_note():
+    # 1 + 1e-16 rounds to 1, so R is exactly singular until the nugget is 1e-15
+    z = np.array([[0.0], [0.0], [0.5], [1.0]])
+    notes = []
+    chol, eff = hpcfe._chol_with_retries(z, np.array([1.0]), 1e-16, notes)
+    assert eff == pytest.approx(1e-15, rel=1e-12)
+    assert notes == ["nugget raised to 1.0e-15 for factorization"]
+    assert np.all(np.diag(chol) > 0.0)
+    model = fit_fixed_theta(z, np.array([1.0, 1.0, 2.0, 5.0]), np.array([1.0]),
+                            small_config(M=1, b=1, nugget=1e-16))
+    assert model.nugget == eff
+    assert model.fit_notes == ("nugget raised to 1.0e-15 for factorization",)
+
+
+def test_fit_evaluates_each_requested_theta_once(monkeypatch):
+    # a linear response drives both length scales to the lower bound, where
+    # bounded Nelder-Mead asks again for points it clipped
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-1, 1, size=(20, 2))
+    y = z[:, 0] + 0.5 * z[:, 1] ** 2
+
+    requested, evaluated = [], []
+    minimize = hpcfe.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        def recorded(x):
+            requested.append(np.asarray(x, dtype=float).tobytes())
+            return fun(x)
+        return minimize(recorded, x0, **kwargs)
+
+    profile = hpcfe._profile_likelihood
+
+    def counted(data, theta, nugget, notes=None):
+        evaluated.append(theta.tobytes())
+        return profile(data, theta, nugget, notes)
+
+    monkeypatch.setattr(hpcfe, "minimize", recording_minimize)
+    monkeypatch.setattr(hpcfe, "_profile_likelihood", counted)
+    with pytest.warns(RuntimeWarning, match="optimization bound"):
+        model = fit(z, y, small_config())
+    assert model.fit_notes == ("length scale at optimization bound",)
+    assert len(set(requested)) < len(requested)  # the optimizer did repeat itself
+    assert len(evaluated) == len(set(requested)) + 1  # plus the final assembly
+    distinct = {(10.0 ** np.frombuffer(x)).tobytes() for x in requested}
+    assert set(evaluated[:-1]) == distinct
+    assert evaluated[-1] == model.theta.tobytes()
+
+
 def test_singular_correlation_exhausts_nugget_retries():
     z = np.array([[0.0], [0.0], [0.5], [1.0]])  # duplicated point
     y = np.array([1.0, 1.0, 2.0, 5.0])

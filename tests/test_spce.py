@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sasrel import spce
 from sasrel.errors import DimensionError, ParameterError
 from sasrel.polybasis import BasisSet, eval_design_matrix
 from sasrel.probspace import sobol_points
@@ -61,6 +62,35 @@ def test_predict_linear_value_and_r2():
     ss_res = np.sum((y - pred) ** 2)
     ss_tot = np.sum((y - y.mean()) ** 2)
     assert 1.0 - ss_res / ss_tot >= 1.0 - 1e-10
+
+
+def test_blocked_prediction_equals_one_block(monkeypatch):
+    rng = np.random.default_rng(3)
+    idx = np.array([[1, 0, 0], [0, 2, 0], [1, 1, 1], [0, 0, 4], [3, 0, 1]])
+    model = SparsePceModel(dim=3, p_max=4, indices=idx,
+                           coefficients=rng.standard_normal(5), intercept=0.3, loo=0.0)
+    probe = rng.uniform(-1, 1, size=(1000, 3))
+    cases = (probe, probe[:0], probe[:1], probe[0])
+
+    monkeypatch.setattr(spce, "DESIGN_BLOCK_BYTES", 2**40)
+    one_block = [model.predict(p) for p in cases]
+
+    block_rows = []
+    design = spce.eval_design_matrix
+
+    def counted(basis, points):
+        block_rows.append(points.shape[0])
+        return design(basis, points)
+
+    monkeypatch.setattr(spce, "eval_design_matrix", counted)
+    # 200 rows of 5 design entries fit the budget; blocks round down to 192 rows
+    monkeypatch.setattr(spce, "DESIGN_BLOCK_BYTES", 8 * 5 * 200)
+    for p, expected in zip(cases, one_block):
+        assert model.predict(p).tobytes() == expected.tobytes()
+    assert [out.shape for out in one_block] == [(1000,), (0,), (1,), (1,)]
+    block_rows.clear()
+    model.predict(probe)
+    assert block_rows == [192] * 5 + [40]
 
 
 def test_gradient_linear_and_fd():
