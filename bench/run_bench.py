@@ -19,8 +19,8 @@ calls the pipeline stages directly, as ``sasrel run`` does, and times them:
 
 It also records the number of concentrated-likelihood evaluations (the
 final assembly included), their total seconds and the part of it spent
-building and factoring the correlation matrix (``corr_chol_s``, which also
-counts the one factorization of the fitted model), the final log-likelihood,
+building and factoring the correlation matrix (``corr_chol_s``; the fitted
+model reuses the factor of the final assembly), the final log-likelihood,
 the fitted length scales, pf/beta/r per method, the surrogates' beta error
 against the reference, the BLAS thread setting and the numpy and scipy
 versions.  The record goes into the JSON file ``--out`` under ``runs[<label>]``; other

@@ -29,10 +29,6 @@ from .probspace import sobol_points
 
 _NUGGET_RETRIES = 3
 
-# Byte budget of one prediction block's rows x n_train cross-kernel, so that
-# prediction memory is bounded in both the point count and n_train.
-KERNEL_BLOCK_BYTES = 8 * 2**20
-
 
 @dataclass(frozen=True)
 class HpcfeConfig:
@@ -60,6 +56,8 @@ class HpcfeConfig:
             raise ParameterError("length-scale bounds must be positive and ordered")
         if self.restarts < 1:
             raise ParameterError("need at least one optimizer start")
+        if self.nm_max_evals is not None and self.nm_max_evals < 1:
+            raise ParameterError("likelihood evaluation cap must be >= 1")
 
 
 def build_design_matrix(z: np.ndarray, config: HpcfeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +145,21 @@ def homotopy_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(a) @ b
 
 
+def _rescale(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-coordinate affine map of the box [lo, hi] onto [-1, 1]."""
+    return 2.0 * (z - lo) / (hi - lo) - 1.0
+
+
 @dataclass
 class HpcfeModel:
-    """Fitted hybrid surrogate.
+    """Fitted hybrid surrogate, built by ``fit`` or ``fit_fixed_theta``.
 
-    Treat as immutable after fit; the only mutating bookkeeping is the
-    monotone ``saw_extrapolation`` flag set when a prediction point falls
-    outside the training rescale box.
+    The private fields are the fit's own state at the fitted length scales:
+    the rescaled training points, the Cholesky factor L of R (its lower
+    triangle only; see ``_chol_with_retries``), x = L^-1 Psi and
+    R^-1 (d - Psi alpha).  Treat as immutable after fit; the only mutating
+    bookkeeping is the monotone ``saw_extrapolation`` flag set when a
+    prediction point falls outside the training rescale box.
     """
 
     config: HpcfeConfig
@@ -167,60 +173,36 @@ class HpcfeModel:
     box_lo: np.ndarray
     box_hi: np.ndarray
     nugget: float
-    fit_notes: tuple[str, ...] = ()
+    fit_notes: tuple[str, ...]
+    _zs: np.ndarray = field(repr=False, compare=False)
+    _chol: np.ndarray = field(repr=False, compare=False)
+    _x: np.ndarray = field(repr=False, compare=False)
+    _w_resid: np.ndarray = field(repr=False, compare=False)
     saw_extrapolation: bool = field(default=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=float).ravel()
-        self.theta = np.asarray(self.theta, dtype=float).ravel()
-        self.z_train = np.atleast_2d(np.asarray(self.z_train, dtype=float))
-        self.d = np.asarray(self.d, dtype=float).ravel()
-        self.basis_map = np.asarray(self.basis_map, dtype=np.int64)
-        self.box_lo = np.asarray(self.box_lo, dtype=float).ravel()
-        self.box_hi = np.asarray(self.box_hi, dtype=float).ravel()
-        if self.sigma2 < 0.0:
-            raise ParameterError("process variance cannot be negative")
-        if self.d.shape[0] != self.z_train.shape[0]:
-            raise DimensionError("training responses and points disagree in length")
-        if self.alpha.shape[0] != self.basis_map.shape[0]:
-            raise DimensionError("coefficient vector does not match the basis map")
-        zs = self._rescale(self.z_train)
-        self._chol, _ = _chol_with_retries(zs, self.theta, self.nugget)
-        self._zs = zs
-        psi = eval_design_matrix(BasisSet(self.basis_map), zs, check_domain=False)
-        self._x = solve_triangular(self._chol, psi, lower=True)
-        resid = self.d - psi @ self.alpha
-        self._w_resid = cho_solve((self._chol, True), resid)
-        self._a_pinv = np.linalg.pinv(self._x.T @ self._x)
-
-    @property
-    def r(self) -> int:
-        return self.z_train.shape[1]
-
-    def _rescale(self, z: np.ndarray) -> np.ndarray:
+    def _scaled(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if z.shape[1] != self.box_lo.shape[0]:
             raise DimensionError(
                 f"points have {z.shape[1]} coordinates, model has {self.box_lo.shape[0]}")
-        return 2.0 * (z - self.box_lo) / (self.box_hi - self.box_lo) - 1.0
+        return _rescale(z, self.box_lo, self.box_hi)
 
     def _blocks(self, zs: np.ndarray):
         """(rows, trend design, cross-kernel) per row block of rescaled points.
 
-        Blocks are ``polybasis.row_blocks`` whose rows x n_train kernel fits
-        ``KERNEL_BLOCK_BYTES``.
+        Blocks are ``polybasis.row_blocks`` of rows x n_train kernel entries.
         """
         if np.any(np.abs(zs) > 1.0 + 1e-12):
             self.saw_extrapolation = True
         basis = BasisSet(self.basis_map)
-        for rows in row_blocks(zs.shape[0], 8 * self._zs.shape[0], KERNEL_BLOCK_BYTES):
+        for rows in row_blocks(zs.shape[0], 8 * self._zs.shape[0]):
             block = zs[rows]
             yield (rows, eval_design_matrix(basis, block, check_domain=False),
                    _kernel_cross(block, self._zs, self.theta))
 
     def predict_mean(self, z: np.ndarray) -> np.ndarray:
         """Predictive mean at reduced-space points; shape (n,)."""
-        zs = self._rescale(z)
+        zs = self._scaled(z)
         out = np.empty(zs.shape[0])
         for rows, phi, k in self._blocks(zs):
             out[rows] = self.g0 + phi @ self.alpha + k @ self._w_resid
@@ -228,13 +210,14 @@ class HpcfeModel:
 
     def predict_variance(self, z: np.ndarray) -> np.ndarray:
         """Universal-kriging predictive variance at reduced-space points; >= 0."""
-        zs = self._rescale(z)
+        zs = self._scaled(z)
+        a_pinv = np.linalg.pinv(self._x.T @ self._x)
         out = np.empty(zs.shape[0])
         for rows, phi, k in self._blocks(zs):
             lk = solve_triangular(self._chol, k.T, lower=True)
             quad_sk = np.einsum("ij,ij->j", lk, lk)
             u = self._x.T @ lk - phi.T
-            quad_trend = np.einsum("ij,ij->j", u, self._a_pinv @ u)
+            quad_trend = np.einsum("ij,ij->j", u, a_pinv @ u)
             out[rows] = np.clip(self.sigma2 * (1.0 - quad_sk + quad_trend), 0.0, None)
         return out
 
@@ -252,19 +235,6 @@ class HpcfeModel:
             "nugget_effective": self.nugget,
             "fit_notes": list(self.fit_notes),
         }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HpcfeModel":
-        doc = json.loads(text)
-        cfg = {**doc["config"], "theta_bounds": tuple(doc["config"]["theta_bounds"])}
-        return cls(
-            config=HpcfeConfig(**cfg),
-            g0=doc["g0"], alpha=np.asarray(doc["alpha"]),
-            theta=np.asarray(doc["theta"]), sigma2=doc["sigma2"],
-            z_train=np.asarray(doc["Z_train"]), d=np.asarray(doc["d"]),
-            basis_map=np.asarray(doc["basis_map"]),
-            box_lo=np.asarray(doc["box"][0]), box_hi=np.asarray(doc["box"][1]),
-            nugget=doc["nugget_effective"], fit_notes=tuple(doc["fit_notes"]))
 
 
 @dataclass(frozen=True)
@@ -295,7 +265,7 @@ def _training_data(z: np.ndarray, y: np.ndarray, config: HpcfeConfig) -> _Traini
     span = np.where(span > 0.0, span, 1.0)  # flat coordinates keep unit span
     box_lo = z.min(axis=0) - 0.025 * span
     box_hi = z.max(axis=0) + 0.025 * span
-    zs = 2.0 * (z - box_lo) / (box_hi - box_lo) - 1.0
+    zs = _rescale(z, box_lo, box_hi)
     g0 = float(y.mean())
     d = y - g0
     psi, basis_map = build_design_matrix(zs, config)
@@ -306,7 +276,11 @@ def _training_data(z: np.ndarray, y: np.ndarray, config: HpcfeConfig) -> _Traini
 
 def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float,
                         notes: list[str] | None = None):
-    """Concentrated log-likelihood and trend solve at fixed length scales."""
+    """Concentrated log-likelihood and trend solve at fixed length scales.
+
+    Returns (log-likelihood, alpha, sigma2, effective nugget, factor L of R,
+    x = L^-1 Psi).
+    """
     n = data.zs.shape[0]
     chol, eff = _chol_with_retries(data.zs, theta, nugget, notes)
     solved = solve_triangular(chol, data.psi_d, lower=True, check_finite=False)
@@ -316,17 +290,19 @@ def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float,
     sigma2 = float(lresid @ lresid) / n
     ll = -0.5 * n * math.log(max(sigma2, data.var_floor)) \
         - float(np.sum(np.log(np.diag(chol))))
-    return ll, alpha, sigma2, eff
+    return ll, alpha, sigma2, eff, chol, x
 
 
 def _assemble(data: _TrainingData, theta: np.ndarray, config: HpcfeConfig,
               notes: list[str]) -> HpcfeModel:
     """The fitted model at the given length scales; fit notes are appended."""
-    _, alpha, sigma2, eff = _profile_likelihood(data, theta, config.nugget, notes)
+    _, alpha, sigma2, eff, chol, x = _profile_likelihood(data, theta, config.nugget, notes)
+    w_resid = cho_solve((chol, True), data.d - data.psi_d[:, :-1] @ alpha)
     return HpcfeModel(config=config, g0=data.g0, alpha=alpha, theta=theta,
                       sigma2=sigma2, z_train=data.z, d=data.d,
                       basis_map=data.basis_map, box_lo=data.box_lo,
-                      box_hi=data.box_hi, nugget=eff, fit_notes=tuple(notes))
+                      box_hi=data.box_hi, nugget=eff, fit_notes=tuple(notes),
+                      _zs=data.zs, _chol=chol, _x=x, _w_resid=w_resid)
 
 
 def fit_fixed_theta(z: np.ndarray, y: np.ndarray, theta: np.ndarray,

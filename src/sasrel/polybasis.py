@@ -191,14 +191,19 @@ def eval_design_matrix(basis: BasisSet, points: np.ndarray,
 # kernel path (OpenBLAS gemv takes rows in groups) as in one unblocked call.
 BLOCK_ROW_ALIGN = 64
 
+# Byte budget of one prediction block (a rows x terms design or a rows x
+# n_train cross-kernel), so that prediction memory does not grow with the
+# point count or n_train.
+BLOCK_BYTES = 8 * 2**20
 
-def row_blocks(n_rows: int, row_bytes: int, budget: int) -> list[slice]:
+
+def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Slices cutting ``n_rows`` rows of ``row_bytes`` each into blocks.
 
     A block holds the most whole multiples of ``BLOCK_ROW_ALIGN`` rows that
-    fit ``budget`` bytes, and at least one multiple.
+    fit ``BLOCK_BYTES``, and at least one multiple.
     """
-    fit_rows = budget // row_bytes
+    fit_rows = BLOCK_BYTES // row_bytes
     step = max(BLOCK_ROW_ALIGN, fit_rows - fit_rows % BLOCK_ROW_ALIGN)
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 

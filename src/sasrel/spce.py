@@ -39,10 +39,6 @@ _LOO_TIE_RTOL = 1e-8
 # path cannot improve further.
 _LOO_EXACT = 1e-14
 
-# Byte budget of one prediction block's rows x active-terms design, so that
-# prediction memory does not grow with the point count.
-DESIGN_BLOCK_BYTES = 8 * 2**20
-
 _DESIGN_BYTES_LIMIT = 2_000_000_000
 
 
@@ -197,7 +193,7 @@ class SparsePceModel:
         out = np.full(xi.shape[0], self.intercept)
         if self.n_active:
             basis = self.basis
-            for rows in row_blocks(xi.shape[0], 8 * self.n_active, DESIGN_BLOCK_BYTES):
+            for rows in row_blocks(xi.shape[0], 8 * self.n_active):
                 out[rows] += eval_design_matrix(basis, xi[rows]) @ self.coefficients
         return out
 
@@ -292,11 +288,12 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
                               loo=0.0)
 
     phi = eval_design_matrix(candidates, xi)
-    centered = phi[:, 1:] - phi[:, 1:].mean(axis=0)
-    norms = np.linalg.norm(centered, axis=0)
+    # centered unit-norm regressors, built in one array beside phi
+    X = phi[:, 1:] - phi[:, 1:].mean(axis=0)
+    norms = np.linalg.norm(X, axis=0)
     usable = norms > 1e-12 * max(1.0, float(norms.max()))
-    X = np.zeros_like(centered)
-    X[:, usable] = centered[:, usable] / norms[usable]
+    np.divide(X, np.where(usable, norms, 1.0), out=X)
+    X[:, ~usable] = 0.0
 
     max_steps = min(int(np.sum(usable)), n - 1)
     if max_terms is not None:

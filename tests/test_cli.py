@@ -188,6 +188,7 @@ def test_scatter_has_reduced_coordinates_and_labels(tmp_path):
     ({"hpcfe": {"restarts": True}}, "hpcfe: 'restarts' must be an integer"),
     ({"hpcfe": {"nugget": True}}, "hpcfe: 'nugget' must be a number"),
     ({"methods": ["mcs", "mcs"]}, "'methods' names a method more than once"),
+    ({"hpcfe": {"nm_max_evals": 0}}, "hpcfe: likelihood evaluation cap must be >= 1"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, overrides, fragment):
     cfg_path, _ = write_config(tmp_path, overrides)

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sasrel import hpcfe
+from sasrel import hpcfe, polybasis
 from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import (
     HpcfeConfig,
-    HpcfeModel,
     build_design_matrix,
     correlation_matrix,
     fit,
@@ -31,6 +30,10 @@ def test_config_validation():
         HpcfeConfig(nugget=0.0)
     with pytest.raises(ParameterError):
         HpcfeConfig(theta_bounds=(1.0, 0.5))
+    for cap in (0, -5):
+        with pytest.raises(ParameterError):
+            HpcfeConfig(nm_max_evals=cap)
+    assert HpcfeConfig(nm_max_evals=1).nm_max_evals == 1
 
 
 def test_design_matrix_univariate_count():
@@ -117,15 +120,17 @@ def test_factor_is_lower_cholesky_in_the_correlation_matrix(monkeypatch):
 def test_duplicated_points_escalate_nugget_and_note():
     # 1 + 1e-16 rounds to 1, so R is exactly singular until the nugget is 1e-15
     z = np.array([[0.0], [0.0], [0.5], [1.0]])
+    y = np.array([1.0, 1.0, 2.0, 5.0])
     notes = []
     chol, eff = hpcfe._chol_with_retries(z, np.array([1.0]), 1e-16, notes)
     assert eff == pytest.approx(1e-15, rel=1e-12)
     assert notes == ["nugget raised to 1.0e-15 for factorization"]
     assert np.all(np.diag(chol) > 0.0)
-    model = fit_fixed_theta(z, np.array([1.0, 1.0, 2.0, 5.0]), np.array([1.0]),
-                            small_config(M=1, b=1, nugget=1e-16))
+    model = fit_fixed_theta(z, y, np.array([1.0]), small_config(M=1, b=1, nugget=1e-16))
     assert model.nugget == eff
     assert model.fit_notes == ("nugget raised to 1.0e-15 for factorization",)
+    # the model predicts with the factor of the escalated nugget
+    np.testing.assert_allclose(model.predict_mean(z), y, atol=1e-10 * np.ptp(y))
 
 
 def test_fit_evaluates_each_requested_theta_once(monkeypatch):
@@ -135,7 +140,7 @@ def test_fit_evaluates_each_requested_theta_once(monkeypatch):
     z = rng.uniform(-1, 1, size=(20, 2))
     y = z[:, 0] + 0.5 * z[:, 1] ** 2
 
-    requested, evaluated = [], []
+    requested, evaluated, built = [], [], []
     minimize = hpcfe.minimize
 
     def recording_minimize(fun, x0, **kwargs):
@@ -150,8 +155,15 @@ def test_fit_evaluates_each_requested_theta_once(monkeypatch):
         evaluated.append(theta.tobytes())
         return profile(data, theta, nugget, notes)
 
+    corr = hpcfe.correlation_matrix
+
+    def counted_corr(*args):
+        built.append(args[1])
+        return corr(*args)
+
     monkeypatch.setattr(hpcfe, "minimize", recording_minimize)
     monkeypatch.setattr(hpcfe, "_profile_likelihood", counted)
+    monkeypatch.setattr(hpcfe, "correlation_matrix", counted_corr)
     with pytest.warns(RuntimeWarning, match="optimization bound"):
         model = fit(z, y, small_config())
     assert model.fit_notes == ("length scale at optimization bound",)
@@ -160,6 +172,8 @@ def test_fit_evaluates_each_requested_theta_once(monkeypatch):
     distinct = {(10.0 ** np.frombuffer(x)).tobytes() for x in requested}
     assert set(evaluated[:-1]) == distinct
     assert evaluated[-1] == model.theta.tobytes()
+    # R is factored once per likelihood evaluation, and never for the model
+    assert len(built) == len(evaluated)
 
 
 def test_singular_correlation_exhausts_nugget_retries():
@@ -283,30 +297,31 @@ def test_variance_nonnegative_small_at_train_large_far():
     assert model.predict_variance(far)[0] >= model.sigma2
 
 
-def test_matches_brute_force_gls_oracle_on_three_points():
-    z = np.array([[-0.8], [0.1], [0.7]])
-    y = np.array([1.0, -0.5, 2.0])
+def test_matches_brute_force_gls_oracle_on_four_points():
+    z = np.array([[-0.8], [0.1], [0.4], [0.7]])
+    y = np.array([1.0, -0.5, 0.3, 2.0])
     theta = np.array([1.7])
     nugget = 1e-8
-    cfg = HpcfeConfig(M=1, b=1)  # single trend column psi_1
+    model = fit_fixed_theta(z, y, theta, HpcfeConfig(M=1, b=1, nugget=nugget))
 
+    # the oracle works in the model's rescaled coordinates, with its one
+    # trend column psi_1
+    span = np.ptp(z, axis=0)
+    lo, hi = z.min(0) - 0.025 * span, z.max(0) + 0.025 * span
+    zs = 2.0 * (z - lo) / (hi - lo) - 1.0
     g0 = y.mean()
     d = y - g0
-    r_mat = correlation_matrix(z, theta, nugget)
+    r_mat = correlation_matrix(zs, theta, nugget)
     r_inv = np.linalg.inv(r_mat)
-    psi = eval_design_matrix(BasisSet(np.array([[1]])), z)
+    psi = eval_design_matrix(BasisSet(np.array([[1]])), zs)
     a_mat = psi.T @ r_inv @ psi
     alpha = np.linalg.solve(a_mat, psi.T @ r_inv @ d)
-    sigma2 = float((d - psi @ alpha) @ r_inv @ (d - psi @ alpha)) / 3.0
+    sigma2 = float((d - psi @ alpha) @ r_inv @ (d - psi @ alpha)) / 4.0
 
-    model = HpcfeModel(config=cfg, g0=g0, alpha=alpha, theta=theta,
-                       sigma2=sigma2, z_train=z, d=d,
-                       basis_map=np.array([[1]]),
-                       box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
-                       nugget=nugget)
     probe = np.array([[-0.5], [0.0], [0.33], [0.9]])
-    phi_p = eval_design_matrix(BasisSet(np.array([[1]])), probe)
-    k = np.exp(-theta[0] * (probe - z.T) ** 2)
+    probe_s = 2.0 * (probe - lo) / (hi - lo) - 1.0
+    phi_p = eval_design_matrix(BasisSet(np.array([[1]])), probe_s, check_domain=False)
+    k = np.exp(-theta[0] * (probe_s - zs.T) ** 2)
     mu_oracle = g0 + phi_p @ alpha + k @ r_inv @ (d - psi @ alpha)
     u = psi.T @ r_inv @ k.T - phi_p.T
     s2_oracle = sigma2 * (1.0 - np.einsum("ij,jk,ik->i", k, r_inv, k)
@@ -367,7 +382,7 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
     probe = rng.uniform(-1.1, 1.1, size=(1000, 2))
     cases = (probe, probe[:0], probe[:1], probe[0])
 
-    monkeypatch.setattr(hpcfe, "KERNEL_BLOCK_BYTES", 2**40)
+    monkeypatch.setattr(polybasis, "BLOCK_BYTES", 2**40)
     one_block = [(model.predict_mean(p), model.predict_variance(p)) for p in cases]
 
     block_rows = []
@@ -379,7 +394,7 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
 
     monkeypatch.setattr(hpcfe, "_kernel_cross", counted)
     # 200 rows of 25 kernel entries fit the budget; blocks round down to 192 rows
-    monkeypatch.setattr(hpcfe, "KERNEL_BLOCK_BYTES", 8 * 25 * 200)
+    monkeypatch.setattr(polybasis, "BLOCK_BYTES", 8 * 25 * 200)
     for p, (mean, var) in zip(cases, one_block):
         assert model.predict_mean(p).tobytes() == mean.tobytes()
         assert model.predict_variance(p).tobytes() == var.tobytes()
@@ -387,21 +402,6 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
     block_rows.clear()
     model.predict_mean(probe)
     assert block_rows == [192] * 5 + [40]
-
-
-def test_json_roundtrip_preserves_predictions():
-    rng = np.random.default_rng(10)
-    z = rng.uniform(-1, 1, size=(18, 2))
-    y = z[:, 0] ** 2 - z[:, 1] + 0.1 * np.sin(5 * z[:, 0])
-    model = fit(z, y, small_config())
-    assert model.config.nm_max_evals == 40
-    again = HpcfeModel.from_json(model.to_json())
-    assert again.config == model.config
-    probe = rng.uniform(-1, 1, size=(40, 2))
-    np.testing.assert_allclose(again.predict_mean(probe), model.predict_mean(probe),
-                               rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(again.predict_variance(probe),
-                               model.predict_variance(probe), rtol=1e-9, atol=1e-15)
 
 
 def test_fit_validation():

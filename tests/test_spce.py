@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sasrel import spce
+from sasrel import polybasis, spce
 from sasrel.errors import DimensionError, ParameterError
-from sasrel.polybasis import BasisSet, eval_design_matrix
+from sasrel.polybasis import BasisSet, basis_cardinality, eval_design_matrix
 from sasrel.probspace import sobol_points
 from sasrel.spce import SparsePceModel, fit_lar, lar_path, loo_error
 
@@ -72,7 +73,7 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
     probe = rng.uniform(-1, 1, size=(1000, 3))
     cases = (probe, probe[:0], probe[:1], probe[0])
 
-    monkeypatch.setattr(spce, "DESIGN_BLOCK_BYTES", 2**40)
+    monkeypatch.setattr(polybasis, "BLOCK_BYTES", 2**40)
     one_block = [model.predict(p) for p in cases]
 
     block_rows = []
@@ -84,7 +85,7 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
 
     monkeypatch.setattr(spce, "eval_design_matrix", counted)
     # 200 rows of 5 design entries fit the budget; blocks round down to 192 rows
-    monkeypatch.setattr(spce, "DESIGN_BLOCK_BYTES", 8 * 5 * 200)
+    monkeypatch.setattr(polybasis, "BLOCK_BYTES", 8 * 5 * 200)
     for p, expected in zip(cases, one_block):
         assert model.predict(p).tobytes() == expected.tobytes()
     assert [out.shape for out in one_block] == [(1000,), (0,), (1,), (1,)]
@@ -205,6 +206,22 @@ def test_max_terms_and_patience_cap_path():
     y = np.sin(3 * xi[:, 0]) * np.cos(2 * xi[:, 1]) + 0.05 * rng.standard_normal(120)
     capped = fit_lar(xi, y, p_max=5, max_terms=6)
     assert capped.n_active <= 6
+
+
+def test_fit_peak_memory_is_a_few_designs():
+    # the fit keeps two design-sized arrays, the candidate design and its
+    # regressors; transients (the transpose copy while the design is built,
+    # the squares inside the column norms) add at most one more
+    n, dim, p_max = 300, 10, 4
+    xi = std_doe(n, dim)
+    y = np.sin(xi[:, 0]) + xi[:, 1] * xi[:, 2] + 0.1 * xi[:, 3] ** 3
+    tracemalloc.start()
+    try:
+        fit_lar(xi, y, p_max=p_max, max_terms=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n * basis_cardinality(dim, p_max)
 
 
 def test_validation_errors():
