@@ -145,13 +145,6 @@ class ActiveSubspace:
             "n_grad_samples": self.n_grad_samples,
         }, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ActiveSubspace":
-        d = json.loads(text)
-        return cls(eigenvalues=np.asarray(d["eigenvalues"], dtype=float),
-                   w1=np.asarray(d["W1"], dtype=float), r=d["r"], mu=d["mu"],
-                   n_grad_samples=d["n_grad_samples"])
-
 
 def subspace_from_surrogate(model, mu: float, n_grad_samples: int | None = None,
                             skip: int = 0) -> ActiveSubspace:

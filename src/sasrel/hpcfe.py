@@ -150,16 +150,15 @@ def _rescale(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 2.0 * (z - lo) / (hi - lo) - 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class HpcfeModel:
     """Fitted hybrid surrogate, built by ``fit`` or ``fit_fixed_theta``.
 
     The private fields are the fit's own state at the fitted length scales:
     the rescaled training points, the Cholesky factor L of R (its lower
     triangle only; see ``_chol_with_retries``), x = L^-1 Psi and
-    R^-1 (d - Psi alpha).  Treat as immutable after fit; the only mutating
-    bookkeeping is the monotone ``saw_extrapolation`` flag set when a
-    prediction point falls outside the training rescale box.
+    R^-1 (d - Psi alpha).  Immutable; prediction is safe to share across
+    threads.
     """
 
     config: HpcfeConfig
@@ -178,7 +177,6 @@ class HpcfeModel:
     _chol: np.ndarray = field(repr=False, compare=False)
     _x: np.ndarray = field(repr=False, compare=False)
     _w_resid: np.ndarray = field(repr=False, compare=False)
-    saw_extrapolation: bool = field(default=False, compare=False)
 
     def _scaled(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -192,8 +190,6 @@ class HpcfeModel:
 
         Blocks are ``polybasis.row_blocks`` of rows x n_train kernel entries.
         """
-        if np.any(np.abs(zs) > 1.0 + 1e-12):
-            self.saw_extrapolation = True
         basis = BasisSet(self.basis_map)
         for rows in row_blocks(zs.shape[0], 8 * self._zs.shape[0]):
             block = zs[rows]
@@ -317,9 +313,9 @@ def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> Hp
 
     Training coordinates are affinely rescaled per dimension to [-1, 1] with a
     5% margin box (kept on the model; predictions outside it are legitimate
-    extrapolation and only flip a flag).  Length scales maximize the
-    concentrated log-likelihood over Sobol-spread multi-starts in log space;
-    best candidate by likelihood, then lexicographic theta.
+    extrapolation).  Length scales maximize the concentrated log-likelihood
+    over Sobol-spread multi-starts in log space; best candidate by
+    likelihood, then lexicographic theta.
     """
     data = _training_data(z, y, config)
     r = data.z.shape[1]

@@ -141,9 +141,6 @@ class BasisSet:
     def max_degree(self) -> int:
         return int(self.indices.max(initial=0))
 
-    def subset(self, rows) -> "BasisSet":
-        return BasisSet(self.indices[np.asarray(rows)])
-
 
 def _check_points(points: np.ndarray, dim: int, check_domain: bool) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))

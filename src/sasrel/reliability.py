@@ -77,13 +77,13 @@ class CountingLimitState:
 class ReliabilityResult:
     """Outcome of one estimator run.
 
-    ``cov_pf`` is the Monte-Carlo estimator coefficient of variation
-    sqrt((1 - pf) / (n pf)); it is carried only by sampling estimators.
+    ``beta`` is derived from ``pf`` by ``reliability_index``.  ``cov_pf`` is
+    the Monte-Carlo estimator coefficient of variation sqrt((1 - pf) / (n pf));
+    it is carried only by sampling estimators.
     """
 
     method: str
     pf: float
-    beta: float
     n_model_evals: int
     n_surrogate_evals: int = 0
     cov_pf: float | None = None
@@ -93,9 +93,10 @@ class ReliabilityResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.pf <= 1.0:
             raise ParameterError(f"failure probability {self.pf} outside [0, 1]")
-        if 0.0 < self.pf < 1.0:
-            if abs(self.beta - float(norm.isf(self.pf))) > 1e-9 * max(1.0, abs(self.beta)):
-                raise ParameterError("reliability index inconsistent with pf")
+
+    @property
+    def beta(self) -> float:
+        return reliability_index(self.pf)
 
     CSV_FIELDS = ("method", "pf", "beta", "n_model_evals", "n_surrogate_evals",
                   "cov_pf", "r", "seed")
@@ -174,8 +175,8 @@ def _failure_fraction(stream, limit_state_values, what: str) -> float:
     return failures / done
 
 
-def mcs_probability(limit_state, model: ProbabilisticModel, n: int, seed: int,
-                    method: str = "mcs") -> ReliabilityResult:
+def mcs_probability(limit_state, model: ProbabilisticModel, n: int,
+                    seed: int) -> ReliabilityResult:
     """Direct Monte-Carlo failure probability with the indicator-mean estimator.
 
     Samples stream in fixed chunks from the same seeded substreams as
@@ -190,9 +191,8 @@ def mcs_probability(limit_state, model: ProbabilisticModel, n: int, seed: int,
     pf = _failure_fraction(uniform_stream(seed, n, model.dim),
                            lambda _, u: limit_state.evaluate(model.to_physical(u)),
                            "limit state value")
-    return ReliabilityResult(method=method, pf=pf, beta=reliability_index(pf),
-                             n_model_evals=n, cov_pf=_estimator_cov(pf, n),
-                             seed=seed)
+    return ReliabilityResult(method="mcs", pf=pf, n_model_evals=n,
+                             cov_pf=_estimator_cov(pf, n), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -303,8 +303,7 @@ def sas_hpcfe_pipeline(training: Training,
     pf = _failure_fraction(uniform_stream(config.seed, config.n_mcs, model.dim),
                            predict, "surrogate prediction")
     result = ReliabilityResult(
-        method="sas-hpcfe", pf=pf, beta=reliability_index(pf),
-        n_model_evals=training.n_model_evals,
+        method="sas-hpcfe", pf=pf, n_model_evals=training.n_model_evals,
         n_surrogate_evals=config.n_mcs + subspace.n_grad_samples,
         cov_pf=_estimator_cov(pf, config.n_mcs),
         r=subspace.r, seed=config.seed)
@@ -322,6 +321,6 @@ def spce_only_pipeline(training: Training, config: PipelineConfig) -> Reliabilit
         uniform_stream(config.seed, config.n_mcs, training.model.dim),
         lambda _, u: surrogate.predict(2.0 * u - 1.0), "surrogate prediction")
     return ReliabilityResult(
-        method="spce", pf=pf, beta=reliability_index(pf),
-        n_model_evals=training.n_model_evals, n_surrogate_evals=config.n_mcs,
+        method="spce", pf=pf, n_model_evals=training.n_model_evals,
+        n_surrogate_evals=config.n_mcs,
         cov_pf=_estimator_cov(pf, config.n_mcs), seed=config.seed)

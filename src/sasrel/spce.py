@@ -77,16 +77,17 @@ def loo_error(regressors: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(e**2)) / sum_sq * correction
 
 
-def lar_path(X: np.ndarray, y: np.ndarray, max_steps: int | None = None,
-             record_residuals: bool = False) -> Iterator[tuple[int, np.ndarray | None]]:
+def lar_path(X: np.ndarray, y: np.ndarray,
+             max_steps: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Least-angle regression path over centered unit-norm columns.
 
     Yields ``(column, residual)`` once per joined regressor, where ``residual``
-    is the running LAR residual after the equiangular step (or None unless
-    ``record_residuals``).  At each yielded state the active columns share the
-    maximal absolute correlation with the residual.  Collinear candidates are
-    skipped.  Ties in the correlation maximum resolve to the lowest column
-    index.
+    is the running LAR residual after the equiangular step.  Each step binds a
+    new residual array and never writes into one already yielded, so callers
+    may keep them without copying.  At each yielded state the active columns
+    share the maximal absolute correlation with the residual.  Collinear
+    candidates are skipped.  Ties in the correlation maximum resolve to the
+    lowest column index.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -147,7 +148,7 @@ def lar_path(X: np.ndarray, y: np.ndarray, max_steps: int | None = None,
             if cand.size:
                 gamma = min(gamma, float(np.min(cand)))
         resid = resid - gamma * u
-        yield j, (resid.copy() if record_residuals else None)
+        yield j, resid
 
 
 @dataclass(frozen=True)
@@ -217,14 +218,6 @@ class SparsePceModel:
             "loo_error": self.loo,
         }, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SparsePceModel":
-        d = json.loads(text)
-        return cls(dim=d["dim"], p_max=d["p_max"],
-                   indices=np.asarray(d["active_indices"], dtype=np.int64),
-                   coefficients=np.asarray(d["coefficients"], dtype=float),
-                   intercept=d["intercept"], loo=d["loo_error"])
-
 
 def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
             max_terms: int | None = None) -> SparsePceModel:
@@ -290,7 +283,7 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     phi = eval_design_matrix(candidates, xi)
     # centered unit-norm regressors, built in one array beside phi
     X = phi[:, 1:] - phi[:, 1:].mean(axis=0)
-    norms = np.linalg.norm(X, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # no design-sized X * X
     usable = norms > 1e-12 * max(1.0, float(norms.max()))
     np.divide(X, np.where(usable, norms, 1.0), out=X)
     X[:, ~usable] = 0.0
@@ -320,7 +313,6 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     path_cols: list[int] = []
     scores = [scored(0)]
     best_k, best_score = 0, scores[0]
-    stopped_exact = False
 
     for col, _ in lar_path(X, y - y.mean(), max_steps=max_steps):
         k = len(path_cols) + 1
@@ -350,11 +342,8 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
         if score < best_score:
             best_score, best_k = score, k
         if score <= _LOO_EXACT:
-            stopped_exact = True
             break
 
-    if stopped_exact and scores[-1] < best_score:
-        best_score, best_k = scores[-1], len(path_cols)
     # prefer the sparsest model within a hair of the best score
     for k, s in enumerate(scores):
         if s <= best_score * (1.0 + _LOO_TIE_RTOL):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -366,13 +367,13 @@ def test_fixed_theta_reproduces_fit_at_its_optimum():
     assert fixed.fit_notes == model.fit_notes == ()
 
 
-def test_extrapolation_flag():
+def test_extrapolated_prediction_is_finite_and_model_is_frozen():
     rng = np.random.default_rng(9)
     z = rng.uniform(0, 1, size=(15, 2))
     model = fit(z, z[:, 0] + z[:, 1] ** 2, small_config())
-    assert not model.saw_extrapolation
-    model.predict_mean(np.array([[5.0, 5.0]]))
-    assert model.saw_extrapolation
+    assert np.all(np.isfinite(model.predict_mean(np.array([[5.0, 5.0]]))))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.theta = np.ones(2)
 
 
 def test_blocked_prediction_equals_one_block(monkeypatch):

@@ -184,13 +184,6 @@ def test_gradient_skips_inactive_dimensions():
     assert abs(grad[0, 0, 1]) > 0.0
 
 
-def test_basis_subset():
-    basis = BasisSet.total_degree(3, 2)
-    sub = basis.subset([0, 4, 7])
-    assert sub.cardinality == 3
-    np.testing.assert_array_equal(sub.indices, basis.indices[[0, 4, 7]])
-
-
 def test_invalid_inputs():
     with pytest.raises(ParameterError):
         legendre_tables(np.array([0.0]), -1)

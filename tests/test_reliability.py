@@ -52,17 +52,16 @@ def test_reliability_index_round_trip():
 
 
 def test_result_validation_and_csv():
-    res = ReliabilityResult(method="mcs", pf=0.1, beta=reliability_index(0.1),
-                            n_model_evals=1000, cov_pf=0.09486, seed=7)
+    res = ReliabilityResult(method="mcs", pf=0.1, n_model_evals=1000,
+                            cov_pf=0.09486, seed=7)
+    assert res.beta == reliability_index(0.1)
     row = [_fmt(getattr(res, name)) for name in ReliabilityResult.CSV_FIELDS]
     assert RESULT_COLUMNS[:len(row)] == ReliabilityResult.CSV_FIELDS
     assert row[0] == "mcs"
     assert row[1] == repr(0.1) and float(row[1]) == 0.1
     assert row[6] == ""  # r not set
     with pytest.raises(ParameterError):
-        ReliabilityResult(method="mcs", pf=1.5, beta=0.0, n_model_evals=1)
-    with pytest.raises(ParameterError):
-        ReliabilityResult(method="mcs", pf=0.1, beta=3.0, n_model_evals=1)
+        ReliabilityResult(method="mcs", pf=1.5, n_model_evals=1)
 
 
 def test_mcs_matches_analytic_threshold():
