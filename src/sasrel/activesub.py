@@ -100,7 +100,7 @@ def fd_cost(n_dim: int, n_grad_samples: int) -> int:
     return n_grad_samples * (n_dim + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActiveSubspace:
     """Spectrum and projection of an estimated derivative matrix.
 

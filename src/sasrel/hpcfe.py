@@ -3,10 +3,10 @@
 The trend is a hierarchical expansion over component functions of at most M
 variables, each carrying products of univariate orthonormal Legendre factors
 of degree 1..b in all of its variables, so no column repeats across component
-functions.  The trend
-coefficients come from a minimum-norm GLS trend solve.  A zero-mean Gaussian
-process with an anisotropic squared-exponential kernel interpolates the trend
-residual; its length scales are found by multi-start maximum likelihood.
+functions.  The trend coefficients are the minimum-norm GLS solution, one
+least-squares solve on the whitened design.  A zero-mean Gaussian process with
+an anisotropic squared-exponential kernel interpolates the trend residual; its
+length scales are found by multi-start maximum likelihood.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lstsq, solve_triangular
 from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
@@ -108,8 +108,8 @@ def correlation_matrix(z: np.ndarray, theta: np.ndarray, nugget: float) -> np.nd
     return k
 
 
-def _chol_with_retries(z: np.ndarray, theta: np.ndarray, nugget: float,
-                       notes: list[str] | None = None) -> tuple[np.ndarray, float]:
+def _chol_with_retries(z: np.ndarray, theta: np.ndarray,
+                       nugget: float) -> tuple[np.ndarray, float]:
     """Cholesky factor of the correlation matrix, raising the nugget on failure.
 
     LAPACK ``dpotrf`` factors the matrix in place: R is exactly symmetric, so
@@ -119,30 +119,24 @@ def _chol_with_retries(z: np.ndarray, theta: np.ndarray, nugget: float,
     read the lower triangle only (``lower=True`` solves, ``np.diag``).
     """
     eff = nugget
-    for attempt in range(_NUGGET_RETRIES + 1):
+    for _ in range(_NUGGET_RETRIES + 1):
         chol, info = dpotrf(correlation_matrix(z, theta, eff).T, lower=1,
                             overwrite_a=1, clean=0)
         if info == 0:
-            if attempt and notes is not None:
-                notes.append(f"nugget raised to {eff:.1e} for factorization")
             return chol, eff
         eff *= 10.0
     raise NumericalError(
         f"correlation matrix not positive definite with nugget up to {eff / 10:.1e}")
 
 
-def homotopy_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of the square trend system A alpha = B.
+def homotopy_solve(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution x^+ b of x alpha = b by LAPACK gelsy.
 
-    This is the pseudo-inverse solution A^+ B: the homotopy selection with an
-    identity weight, and the exact solution whenever A has full rank.
+    On the whitened design x = L^-1 Psi, b = L^-1 d this is the GLS trend, and
+    rank-deficient or wide x take the same path.  The rank cutoff is pinv's
+    1e-15: scipy's default, machine epsilon, kept numerically zero directions.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
-    q = a.shape[0]
-    if a.shape != (q, q) or b.shape[0] != q:
-        raise DimensionError(f"system shapes {a.shape}, {b.shape} are inconsistent")
-    return np.linalg.pinv(a) @ b
+    return lstsq(x, b, cond=1e-15, lapack_driver="gelsy")[0]
 
 
 def _rescale(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -150,7 +144,7 @@ def _rescale(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 2.0 * (z - lo) / (hi - lo) - 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HpcfeModel:
     """Fitted hybrid surrogate, built by ``fit`` or ``fit_fixed_theta``.
 
@@ -158,7 +152,7 @@ class HpcfeModel:
     the rescaled training points, the Cholesky factor L of R (its lower
     triangle only; see ``_chol_with_retries``), x = L^-1 Psi and
     R^-1 (d - Psi alpha).  Immutable; prediction is safe to share across
-    threads.
+    threads.  Equality is identity.
     """
 
     config: HpcfeConfig
@@ -173,10 +167,10 @@ class HpcfeModel:
     box_hi: np.ndarray
     nugget: float
     fit_notes: tuple[str, ...]
-    _zs: np.ndarray = field(repr=False, compare=False)
-    _chol: np.ndarray = field(repr=False, compare=False)
-    _x: np.ndarray = field(repr=False, compare=False)
-    _w_resid: np.ndarray = field(repr=False, compare=False)
+    _zs: np.ndarray = field(repr=False)
+    _chol: np.ndarray = field(repr=False)
+    _x: np.ndarray = field(repr=False)
+    _w_resid: np.ndarray = field(repr=False)
 
     def _scaled(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -270,18 +264,17 @@ def _training_data(z: np.ndarray, y: np.ndarray, config: HpcfeConfig) -> _Traini
                          var_floor=max(float(np.var(y)), 1e-30) * 1e-16)
 
 
-def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float,
-                        notes: list[str] | None = None):
+def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float):
     """Concentrated log-likelihood and trend solve at fixed length scales.
 
     Returns (log-likelihood, alpha, sigma2, effective nugget, factor L of R,
     x = L^-1 Psi).
     """
     n = data.zs.shape[0]
-    chol, eff = _chol_with_retries(data.zs, theta, nugget, notes)
+    chol, eff = _chol_with_retries(data.zs, theta, nugget)
     solved = solve_triangular(chol, data.psi_d, lower=True, check_finite=False)
     x, ld = solved[:, :-1], solved[:, -1]
-    alpha = homotopy_solve(x.T @ x, x.T @ ld)
+    alpha = homotopy_solve(x, ld)
     lresid = ld - x @ alpha  # L^-1 (d - psi alpha)
     sigma2 = float(lresid @ lresid) / n
     ll = -0.5 * n * math.log(max(sigma2, data.var_floor)) \
@@ -292,7 +285,9 @@ def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float,
 def _assemble(data: _TrainingData, theta: np.ndarray, config: HpcfeConfig,
               notes: list[str]) -> HpcfeModel:
     """The fitted model at the given length scales; fit notes are appended."""
-    _, alpha, sigma2, eff, chol, x = _profile_likelihood(data, theta, config.nugget, notes)
+    _, alpha, sigma2, eff, chol, x = _profile_likelihood(data, theta, config.nugget)
+    if eff != config.nugget:
+        notes.append(f"nugget raised to {eff:.1e} for factorization")
     w_resid = cho_solve((chol, True), data.d - data.psi_d[:, :-1] @ alpha)
     return HpcfeModel(config=config, g0=data.g0, alpha=alpha, theta=theta,
                       sigma2=sigma2, z_train=data.z, d=data.d,

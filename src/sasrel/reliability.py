@@ -220,6 +220,8 @@ class PipelineConfig:
             raise ParameterError("Monte-Carlo sample size must be positive")
         if not 0.0 < self.mu < 1.0:
             raise ParameterError("subspace threshold must lie in (0, 1)")
+        if any(v is not None and v < 1 for v in (self.n_grad_samples, self.lar_max_terms)):
+            raise ParameterError("n_grad_samples and lar_max_terms must be None or >= 1")
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def lar_path(X: np.ndarray, y: np.ndarray,
         yield j, resid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsePceModel:
     """Sparse orthonormal-Legendre expansion in standardized coordinates.
 

@@ -171,6 +171,9 @@ def test_active_subspace_validation_and_json():
     assert d["eigenvalues"] == lam.tolist()
     assert d["W1"] == w1.tolist()
     assert d["r"] == 2 and d["mu"] == 0.9 and d["n_grad_samples"] == 30
+    twin = ActiveSubspace(eigenvalues=lam, w1=w1, r=2, mu=0.9, n_grad_samples=30)
+    assert (sub == twin) is False and sub == sub  # equality is identity
+    assert len({sub, twin, sub}) == 2
 
     with pytest.raises(ParameterError):
         ActiveSubspace(eigenvalues=lam, w1=np.ones((3, 2)), r=2, mu=0.9,

@@ -122,10 +122,8 @@ def test_duplicated_points_escalate_nugget_and_note():
     # 1 + 1e-16 rounds to 1, so R is exactly singular until the nugget is 1e-15
     z = np.array([[0.0], [0.0], [0.5], [1.0]])
     y = np.array([1.0, 1.0, 2.0, 5.0])
-    notes = []
-    chol, eff = hpcfe._chol_with_retries(z, np.array([1.0]), 1e-16, notes)
+    chol, eff = hpcfe._chol_with_retries(z, np.array([1.0]), 1e-16)
     assert eff == pytest.approx(1e-15, rel=1e-12)
-    assert notes == ["nugget raised to 1.0e-15 for factorization"]
     assert np.all(np.diag(chol) > 0.0)
     model = fit_fixed_theta(z, y, np.array([1.0]), small_config(M=1, b=1, nugget=1e-16))
     assert model.nugget == eff
@@ -152,9 +150,9 @@ def test_fit_evaluates_each_requested_theta_once(monkeypatch):
 
     profile = hpcfe._profile_likelihood
 
-    def counted(data, theta, nugget, notes=None):
+    def counted(data, theta, nugget):
         evaluated.append(theta.tobytes())
-        return profile(data, theta, nugget, notes)
+        return profile(data, theta, nugget)
 
     corr = hpcfe.correlation_matrix
 
@@ -184,32 +182,50 @@ def test_singular_correlation_exhausts_nugget_retries():
         fit(z, y, small_config(nugget=1e-20))
 
 
-def test_homotopy_full_rank_reduces_to_direct_solve():
+def test_homotopy_tall_full_rank_is_least_squares():
     rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 4))
-    a = a @ a.T + 4.0 * np.eye(4)
-    b = rng.standard_normal(4)
-    np.testing.assert_allclose(homotopy_solve(a, b), np.linalg.solve(a, b),
-                               rtol=1e-10)
+    x = rng.standard_normal((30, 6))
+    b = rng.standard_normal(30)
+    alpha = homotopy_solve(x, b)
+    np.testing.assert_allclose(alpha, np.linalg.pinv(x) @ b, rtol=1e-10)
+    assert np.abs(x.T @ (x @ alpha - b)).max() <= 1e-10 * np.abs(x.T @ b).max()
 
 
-def test_homotopy_hand_case():
-    a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    b = np.array([1.0, 0.0])
-    alpha = homotopy_solve(a, b)
-    np.testing.assert_allclose(alpha, [1.0, 0.0], atol=1e-12)
-    assert np.linalg.norm(a @ alpha - b) <= 1e-12
+def test_homotopy_tall_rank_deficient_is_minimum_norm():
+    # rank 4 with 10 columns and an inconsistent right side; the product of
+    # random factors is rank deficient only to rounding, which is what the
+    # rank cutoff must see
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 10))
+        b = rng.standard_normal(30)
+        np.testing.assert_allclose(homotopy_solve(x, b), np.linalg.pinv(x) @ b,
+                                   atol=1e-8)
 
 
-def test_homotopy_rank_deficient_consistent_system():
+def test_homotopy_wide_is_minimum_norm_exact_solution():
     rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-    lam = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1, 0, 0, 0, 0])
-    a = q @ np.diag(lam) @ q.T
-    b = a @ rng.standard_normal(10)  # consistent by construction
-    alpha = homotopy_solve(a, b)
-    assert np.linalg.norm(a @ alpha - b) <= 1e-8 * np.linalg.norm(b)
-    np.testing.assert_allclose(alpha, np.linalg.pinv(a) @ b, atol=1e-8)
+    x = rng.standard_normal((6, 15))
+    b = rng.standard_normal(6)
+    alpha = homotopy_solve(x, b)
+    assert np.linalg.norm(x @ alpha - b) <= 1e-8 * np.linalg.norm(b)
+    np.testing.assert_allclose(alpha, np.linalg.pinv(x) @ b, atol=1e-8)
+
+
+def test_more_trend_columns_than_points_interpolates_with_minimum_norm_trend():
+    rng = np.random.default_rng(15)
+    z = rng.uniform(-1, 1, size=(20, 3))
+    y = np.sin(2 * z[:, 0]) + z[:, 1] * z[:, 2]
+    cfg = HpcfeConfig(M=2, b=3)
+    model = fit_fixed_theta(z, y, np.array([2.0, 2.0, 2.0]), cfg)
+    psi, _ = build_design_matrix(model._zs, cfg)
+    assert psi.shape == (20, 36)
+    np.testing.assert_allclose(model.predict_mean(z), y, atol=1e-10 * np.ptp(y))
+    chol = np.tril(model._chol)
+    x = np.linalg.solve(chol, psi)
+    np.testing.assert_allclose(model.alpha,
+                               np.linalg.pinv(x) @ np.linalg.solve(chol, model.d),
+                               atol=1e-10 * np.abs(model.alpha).max())
 
 
 def test_trend_only_data_absorbed_by_trend():
@@ -374,6 +390,17 @@ def test_extrapolated_prediction_is_finite_and_model_is_frozen():
     assert np.all(np.isfinite(model.predict_mean(np.array([[5.0, 5.0]]))))
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.theta = np.ones(2)
+
+
+def test_models_compare_by_identity_and_hash():
+    rng = np.random.default_rng(10)
+    z = rng.uniform(-1, 1, size=(15, 2))
+    cfg = small_config()
+    model = fit(z, z[:, 0] - z[:, 1] ** 2, cfg)
+    fixed = fit_fixed_theta(z, z[:, 0] - z[:, 1] ** 2, model.theta, cfg)
+    assert (model == fixed) is False
+    assert model == model
+    assert len({model, fixed, model}) == 2
 
 
 def test_blocked_prediction_equals_one_block(monkeypatch):

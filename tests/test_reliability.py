@@ -336,3 +336,13 @@ def test_pipeline_config_validation():
         PipelineConfig(n_train=10, p_max=1, n_mcs=0)
     with pytest.raises(ParameterError):
         PipelineConfig(n_train=10, p_max=1, n_mcs=100, mu=1.0)
+
+
+@pytest.mark.parametrize("name", ["lar_max_terms", "n_grad_samples"])
+def test_pipeline_config_counts_are_none_or_positive(name):
+    for bad in (0, -3):
+        with pytest.raises(ParameterError, match=name):
+            PipelineConfig(n_train=10, p_max=1, n_mcs=100, **{name: bad})
+    for good in (None, 1):
+        assert getattr(PipelineConfig(n_train=10, p_max=1, n_mcs=100,
+                                      **{name: good}), name) == good

@@ -198,6 +198,8 @@ def test_fit_is_deterministic():
     assert a.indices.tolist() == b.indices.tolist()
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
     assert a.intercept == b.intercept and a.loo == b.loo
+    assert (a == b) is False and a == a  # equality is identity
+    assert len({a, b, a}) == 2
 
 
 def test_max_terms_and_patience_cap_path():
