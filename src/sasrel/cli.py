@@ -238,22 +238,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_results_csv(path: Path, rows: list[dict]) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """One CSV table; every cell goes through ``_fmt``, so pass Python scalars."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in RESULT_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _result_row(res: ReliabilityResult, beta_ref: float | None) -> dict:
-    row = {name: getattr(res, name) for name in ReliabilityResult.CSV_FIELDS}
+def _result_row(res: ReliabilityResult, beta_ref: float | None) -> list:
     eps = None
     if beta_ref is not None and res.method != "mcs" and math.isfinite(beta_ref) \
             and beta_ref != 0.0 and math.isfinite(res.beta):
         eps = abs(beta_ref - res.beta) / abs(beta_ref) * 100.0
-    row["eps_vs_mcs_pct"] = eps
-    return row
+    return [getattr(res, name) for name in ReliabilityResult.CSV_FIELDS] + [eps]
 
 
 def run_study(cfg: StudyConfig) -> int:
@@ -261,7 +259,7 @@ def run_study(cfg: StudyConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    rows: list[dict] = []
+    rows: list[list] = []
     beta_ref = None
     training = None  # fitted once, shared by both surrogate methods
     # mcs runs first so the surrogate rows can carry the error column
@@ -280,12 +278,12 @@ def run_study(cfg: StudyConfig) -> int:
                     res = spce_only_pipeline(training, cfg.pipeline)
                 else:
                     res, artifacts = sas_hpcfe_pipeline(training, cfg.pipeline)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
+        except (ParameterError, NumericalError, np.linalg.LinAlgError) as exc:
             print(f"error: {method} failed: {exc}", file=sys.stderr)
-            _write_results_csv(out / "results.csv", rows)
-            return 3
+            _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
+            return 2 if isinstance(exc, ParameterError) else 3
         rows.append(_result_row(res, beta_ref))
-        _write_results_csv(out / "results.csv", rows)
+        _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
         if artifacts is not None:
             _write_artifacts(out, artifacts)
         print(f"{method}: pf={res.pf:.6g} beta={res.beta:.4f} "
@@ -296,19 +294,14 @@ def run_study(cfg: StudyConfig) -> int:
 def _write_artifacts(out: Path, artifacts) -> None:
     """The subspace, spectrum, reduced surrogate and scatter of ``sas-hpcfe``."""
     (out / "sas_hpcfe_subspace.json").write_text(artifacts.subspace.to_json())
-    with open(out / "eigenvalues.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, ev in enumerate(artifacts.subspace.eigenvalues):
-            writer.writerow([i + 1, repr(float(ev))])
+    _write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
+               enumerate(artifacts.subspace.eigenvalues.tolist(), start=1))
     (out / "sas_hpcfe_hpcfe_model.json").write_text(artifacts.hpcfe_model.to_json())
-    n_coord = artifacts.scatter.shape[1] - 1
-    with open(out / "reduced_scatter.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z{i + 1}" for i in range(n_coord)] + ["failed"])
-        for row in artifacts.scatter:
-            writer.writerow([repr(float(v)) for v in row[:-1]]
-                            + [str(int(row[-1]))])
+    z, failed = artifacts.scatter[:, :-1], artifacts.scatter[:, -1]
+    _write_csv(out / "reduced_scatter.csv",
+               [f"z{i + 1}" for i in range(z.shape[1])] + ["failed"],
+               (coords + [flag] for coords, flag in
+                zip(z.tolist(), failed.astype(int).tolist())))
 
 
 def report(results_dir: str) -> int:

@@ -201,13 +201,13 @@ class HpcfeModel:
     def predict_variance(self, z: np.ndarray) -> np.ndarray:
         """Universal-kriging predictive variance at reduced-space points; >= 0."""
         zs = self._scaled(z)
-        a_pinv = np.linalg.pinv(self._x.T @ self._x)
         out = np.empty(zs.shape[0])
         for rows, phi, k in self._blocks(zs):
             lk = solve_triangular(self._chol, k.T, lower=True)
             quad_sk = np.einsum("ij,ij->j", lk, lk)
-            u = self._x.T @ lk - phi.T
-            quad_trend = np.einsum("ij,ij->j", u, a_pinv @ u)
+            # u^T (x^T x)^+ u = |(x^T)^+ u|^2: one least-squares solve, no pinv
+            v = homotopy_solve(self._x.T, self._x.T @ lk - phi.T)
+            quad_trend = np.einsum("ij,ij->j", v, v)
             out[rows] = np.clip(self.sigma2 * (1.0 - quad_sk + quad_trend), 0.0, None)
         return out
 

@@ -24,8 +24,7 @@ from scipy.stats import qmc
 
 from .errors import DimensionError, DomainError, ParameterError
 
-# Chunk size shared by every streamed sampler so that chunked and one-shot
-# generation produce identical sample sets.
+# Rows per chunk of ``uniform_stream``, the package's Monte Carlo sampler.
 SAMPLE_CHUNK = 65536
 
 _SOBOL_MAX_DIM = 1000
@@ -205,7 +204,3 @@ def uniform_stream(seed: int, n: int, dim: int) -> Iterator[np.ndarray]:
         rows = min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK)
         yield np.random.default_rng(child).random((rows, dim))
 
-
-def mc_sample(model: ProbabilisticModel, n: int, seed: int) -> np.ndarray:
-    """``n`` i.i.d. physical-space draws via inverse-CDF of a seeded stream."""
-    return np.vstack([model.to_physical(u) for u in uniform_stream(seed, n, model.dim)])

@@ -113,12 +113,6 @@ def reliability_index(pf: float) -> float:
     return float(norm.isf(pf))
 
 
-def _estimator_cov(pf: float, n: int) -> float:
-    if pf == 0.0:
-        return math.inf
-    return math.sqrt((1.0 - pf) / (n * pf))
-
-
 # Most Monte Carlo chunks evaluated at once, whatever the core count.  Each
 # chunk under evaluation holds its sample block, its transformed copy and the
 # surrogate's work arrays (about 120 MB per chunk on the beam study), so this
@@ -134,17 +128,20 @@ def _pool_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _failure_fraction(stream, limit_state_values, what: str) -> float:
-    """Fraction of streamed U(0,1) samples with g < 0.
+def _failure_probability(g, n: int, seed: int, dim: int,
+                         what: str) -> tuple[float, float]:
+    """Monte Carlo failure probability of ``g`` and its coefficient of variation.
 
-    ``limit_state_values(i, u)`` maps chunk ``i`` of ``stream`` to its g
-    values.  Chunks are evaluated on a pool of one thread per core, at most
-    ``MAX_POOL_WORKERS``, with at most one chunk more than the pool in
-    flight, so memory grows with neither the sample size nor the core count.
-    Results are collected in chunk order on the calling thread and the
-    failure count is an integer sum, so the fraction does not depend on the
-    pool size.  A non-finite value raises instead of
-    counting as safe, naming the first such sample in stream order.
+    The ``n`` U(0,1) samples stream from ``uniform_stream(seed, n, dim)``, and
+    ``g(u)`` maps one chunk of them to its limit-state values.  Chunks are
+    evaluated on a pool of one thread per core, at most ``MAX_POOL_WORKERS``,
+    with at most one chunk more than the pool in flight, so memory grows with
+    neither the sample size nor the core count; ``g`` must be safe to call
+    from several threads at once.  Results are collected in chunk order on
+    the calling thread and the failure count is an integer sum, so the
+    estimate does not depend on the pool size.  A non-finite value raises
+    instead of counting as safe, naming the first such sample in stream
+    order.  The CoV is sqrt((1 - pf) / (n pf)), infinite at pf = 0.
     """
     workers = min(_pool_workers(), MAX_POOL_WORKERS)
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -155,44 +152,41 @@ def _failure_fraction(stream, limit_state_values, what: str) -> float:
     def collect_oldest() -> None:
         nonlocal failures, done
         rows, future = pending.popleft()
-        g = np.asarray(future.result(), dtype=float).reshape(rows)
-        finite = np.isfinite(g)
+        values = np.asarray(future.result(), dtype=float).reshape(rows)
+        finite = np.isfinite(values)
         if not finite.all():
             raise NumericalError(
                 f"non-finite {what} at sample {done + int(np.argmin(finite))}")
-        failures += int(np.count_nonzero(g < 0.0))
+        failures += int(np.count_nonzero(values < 0.0))
         done += rows
 
     try:
-        for i, u in enumerate(stream):
-            pending.append((u.shape[0], pool.submit(limit_state_values, i, u)))
+        for u in uniform_stream(seed, n, dim):
+            pending.append((u.shape[0], pool.submit(g, u)))
             if len(pending) > workers:
                 collect_oldest()
         while pending:
             collect_oldest()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    return failures / done
+    pf = failures / n
+    return pf, (math.sqrt((1.0 - pf) / (n * pf)) if pf > 0.0 else math.inf)
 
 
 def mcs_probability(limit_state, model: ProbabilisticModel, n: int,
                     seed: int) -> ReliabilityResult:
     """Direct Monte-Carlo failure probability with the indicator-mean estimator.
 
-    Samples stream in fixed chunks from the same seeded substreams as
-    ``mc_sample``, so the estimate is reproducible and identical to evaluating
-    the one-shot sample matrix.  Chunks are evaluated concurrently on a pool
-    sized by the available cores, so ``limit_state.evaluate`` must be safe to
-    call from several threads at once; the estimate does not depend on the
-    pool size.
+    The true limit state is evaluated on the seeded stream of
+    ``_failure_probability``, mapped through ``model.to_physical``, so
+    ``limit_state.evaluate`` must be safe to call from several threads at
+    once.
     """
-    if n < 1:
-        raise ParameterError(f"sample size must be positive, got {n}")
-    pf = _failure_fraction(uniform_stream(seed, n, model.dim),
-                           lambda _, u: limit_state.evaluate(model.to_physical(u)),
-                           "limit state value")
-    return ReliabilityResult(method="mcs", pf=pf, n_model_evals=n,
-                             cov_pf=_estimator_cov(pf, n), seed=seed)
+    pf, cov_pf = _failure_probability(
+        lambda u: limit_state.evaluate(model.to_physical(u)), n, seed, model.dim,
+        "limit state value")
+    return ReliabilityResult(method="mcs", pf=pf, n_model_evals=n, cov_pf=cov_pf,
+                             seed=seed)
 
 
 @dataclass(frozen=True)
@@ -292,37 +286,30 @@ def sas_hpcfe_pipeline(training: Training,
 
     reduced = hp.fit(subspace.project(training.xi), training.y, config.hpcfe_config)
 
-    scatter = {}  # filled by chunk 0, whichever thread evaluates it
-
-    def predict(i, u):
-        z = subspace.project(2.0 * u - 1.0)
-        g = reduced.predict_mean(z)
-        if i == 0:
-            scatter[0] = np.column_stack(
-                [z[:SCATTER_ROWS], (g[:SCATTER_ROWS] < 0.0).astype(float)])
-        return g
-
-    pf = _failure_fraction(uniform_stream(config.seed, config.n_mcs, model.dim),
-                           predict, "surrogate prediction")
+    pf, cov_pf = _failure_probability(
+        lambda u: reduced.predict_mean(subspace.project(2.0 * u - 1.0)), config.n_mcs,
+        config.seed, model.dim, "surrogate prediction")
     result = ReliabilityResult(
         method="sas-hpcfe", pf=pf, n_model_evals=training.n_model_evals,
-        n_surrogate_evals=config.n_mcs + subspace.n_grad_samples,
-        cov_pf=_estimator_cov(pf, config.n_mcs),
+        n_surrogate_evals=config.n_mcs + subspace.n_grad_samples, cov_pf=cov_pf,
         r=subspace.r, seed=config.seed)
+    # the head of the same seeded stream, predicted once more for the plot
+    z = subspace.project(
+        2.0 * next(uniform_stream(config.seed, min(config.n_mcs, SCATTER_ROWS),
+                                  model.dim)) - 1.0)
+    scatter = np.column_stack([z, (reduced.predict_mean(z) < 0.0).astype(float)])
     artifacts = PipelineArtifacts(
         subspace=subspace, hpcfe_model=reduced,
         fd_gradient_cost=fd_cost(model.dim, subspace.n_grad_samples),
-        scatter=scatter[0])
+        scatter=scatter)
     return result, artifacts
 
 
 def spce_only_pipeline(training: Training, config: PipelineConfig) -> ReliabilityResult:
     """Baseline: the training expansion on the full coordinates, then surrogate MCS."""
-    surrogate = training.spce_model
-    pf = _failure_fraction(
-        uniform_stream(config.seed, config.n_mcs, training.model.dim),
-        lambda _, u: surrogate.predict(2.0 * u - 1.0), "surrogate prediction")
+    pf, cov_pf = _failure_probability(
+        lambda u: training.spce_model.predict(2.0 * u - 1.0), config.n_mcs,
+        config.seed, training.model.dim, "surrogate prediction")
     return ReliabilityResult(
         method="spce", pf=pf, n_model_evals=training.n_model_evals,
-        n_surrogate_evals=config.n_mcs,
-        cov_pf=_estimator_cov(pf, config.n_mcs), seed=config.seed)
+        n_surrogate_evals=config.n_mcs, cov_pf=cov_pf, seed=config.seed)

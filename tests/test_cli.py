@@ -244,6 +244,16 @@ def test_numerical_failure_exits_3_and_keeps_partial_results(tmp_path, capsys):
     assert (tmp_path / "out" / "results.csv").is_file()
 
 
+def test_setting_rejected_at_run_time_exits_2_and_keeps_partial_results(tmp_path, capsys):
+    # p_max 12 in 10 variables is only found too large once LAR sizes its basis
+    cfg_path, out = write_config(tmp_path, {
+        "methods": ["mcs", "spce"], "p_max": 12, "n_mcs": 2000,
+        "n_mcs_surrogate": 1000})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "error: spce failed: candidate basis" in capsys.readouterr().err
+    assert [r["method"] for r in read_results(out)] == ["mcs"]
+
+
 def test_surrogate_methods_share_one_training_fit(tmp_path, monkeypatch):
     counters = []
     resolve = cli._resolve_problem

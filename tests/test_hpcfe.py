@@ -228,6 +228,26 @@ def test_more_trend_columns_than_points_interpolates_with_minimum_norm_trend():
                                atol=1e-10 * np.abs(model.alpha).max())
 
 
+def test_predict_variance_with_more_trend_columns_than_points_matches_pinv_formula():
+    rng = np.random.default_rng(15)
+    z = rng.uniform(-1, 1, size=(20, 3))
+    y = np.sin(2 * z[:, 0]) + z[:, 1] * z[:, 2]
+    cfg = HpcfeConfig(M=2, b=3)
+    # the trend interpolates, so sigma2 is ~0; unit sigma2 exposes the bracket
+    model = dataclasses.replace(
+        fit_fixed_theta(z, y, np.array([2.0, 2.0, 2.0]), cfg), sigma2=1.0)
+    assert model._x.shape == (20, 36)
+    probe = rng.uniform(-1.2, 1.2, size=(300, 3))
+    zs = model._scaled(probe)
+    phi = eval_design_matrix(BasisSet(model.basis_map), zs, check_domain=False)
+    lk = np.linalg.solve(np.tril(model._chol), hpcfe._kernel_cross(zs, model._zs, model.theta).T)
+    u = model._x.T @ lk - phi.T
+    quad_trend = np.einsum("ij,ij->j", u, np.linalg.pinv(model._x.T @ model._x) @ u)
+    expected = 1.0 - np.einsum("ij,ij->j", lk, lk) + quad_trend
+    assert expected.min() > 0.0
+    np.testing.assert_allclose(model.predict_variance(probe), expected, rtol=1e-9)
+
+
 def test_trend_only_data_absorbed_by_trend():
     rng = np.random.default_rng(4)
     z = rng.uniform(-2, 3, size=(40, 2))

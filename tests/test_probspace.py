@@ -8,9 +8,9 @@ from sasrel.probspace import (
     SAMPLE_CHUNK,
     Marginal,
     ProbabilisticModel,
-    mc_sample,
     moment_match,
     sobol_points,
+    uniform_stream,
 )
 
 
@@ -134,6 +134,11 @@ def test_sobol_dimension_limits():
         sobol_points(2, 0)
     with pytest.raises(ParameterError):
         sobol_points(0, 3)
+
+
+def mc_sample(model, n, seed):
+    """``n`` physical-space draws: the seeded stream through the inverse CDFs."""
+    return np.vstack([model.to_physical(u) for u in uniform_stream(seed, n, model.dim)])
 
 
 def test_mc_sample_deterministic_and_prefix_stable():

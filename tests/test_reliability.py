@@ -11,7 +11,7 @@ from sasrel import probspace, reliability
 from sasrel.cli import RESULT_COLUMNS, _fmt
 from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import HpcfeConfig, HpcfeModel
-from sasrel.probspace import Marginal, ProbabilisticModel, mc_sample, uniform_stream
+from sasrel.probspace import Marginal, ProbabilisticModel, uniform_stream
 from sasrel.reliability import (
     SCATTER_ROWS,
     CountingLimitState,
@@ -89,7 +89,7 @@ def test_mcs_deterministic_and_matches_batch_sample():
     a = mcs_probability(ls, model, n=5000, seed=3)
     b = mcs_probability(ls, model, n=5000, seed=3)
     assert a.pf == b.pf
-    x = mc_sample(model, 5000, seed=3)
+    x = np.vstack([model.to_physical(u) for u in uniform_stream(3, 5000, model.dim)])
     pf_batch = np.mean(ls.evaluate(x) < 0.0)
     assert a.pf == pf_batch
 
@@ -162,7 +162,7 @@ def test_pool_size_does_not_change_estimates_or_scatter(monkeypatch, small_chunk
 
 def test_pooled_nonfinite_names_first_sample_in_stream_order(monkeypatch, small_chunks):
     model = uniform_model(1)
-    x = mc_sample(model, 5000, seed=0)[:, 0]
+    x = np.vstack(list(uniform_stream(0, 5000, model.dim)))[:, 0]
     in_chunk2, in_chunk3 = x[2017], x[3004]
     assert np.count_nonzero(x == in_chunk2) == np.count_nonzero(x == in_chunk3) == 1
 
@@ -189,19 +189,21 @@ def test_pool_draws_at_most_one_chunk_beyond_its_threads(monkeypatch, cores, wor
     drawn = []
     released = [threading.Event() for _ in range(n_chunks)]
 
-    def stream():
+    def stream(seed, n, dim):
         for i in range(n_chunks):
             drawn.append(i)
-            yield np.zeros((10, 1))
+            yield np.full((10, 1), float(i))  # each block carries its chunk index
 
-    def values(i, u):
+    def g(u):
+        i = int(u[0, 0])
         if not released[i].wait(timeout=10):
             raise TimeoutError(f"chunk {i} never released")
         return np.ones(u.shape[0])
 
+    monkeypatch.setattr(reliability, "uniform_stream", stream)
     out = []
-    runner = threading.Thread(
-        target=lambda: out.append(reliability._failure_fraction(stream(), values, "g")))
+    runner = threading.Thread(target=lambda: out.append(
+        reliability._failure_probability(g, 10 * n_chunks, 0, 1, "g")))
     runner.start()
     try:
         for i in range(n_chunks):
@@ -214,7 +216,7 @@ def test_pool_draws_at_most_one_chunk_beyond_its_threads(monkeypatch, cores, wor
             event.set()
         runner.join(timeout=10)
     assert not runner.is_alive()
-    assert out == [0.0] and len(drawn) == n_chunks
+    assert out == [(0.0, math.inf)] and len(drawn) == n_chunks
 
 
 def test_limit_state_dimension_check():
