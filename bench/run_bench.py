@@ -21,7 +21,8 @@ It also records the number of concentrated-likelihood evaluations (the
 final assembly included), their total seconds and the part of it spent
 building and factoring the correlation matrix (``corr_chol_s``; the fitted
 model reuses the factor of the final assembly), the final log-likelihood,
-the fitted length scales, pf/beta/r per method, the surrogates' beta error
+the fitted length scales, the sparse expansion's active-term count and
+leave-one-out error, pf/beta/r per method, the surrogates' beta error
 against the reference, the BLAS thread setting and the numpy and scipy
 versions.  The record goes into the JSON file ``--out`` under ``runs[<label>]``; other
 labels already in the file are kept, so a parent and a change can share one
@@ -108,6 +109,8 @@ def run_study(name: str, seed: int) -> dict:
         "corr_chol_s": round(likelihood["corr_chol_s"], 3),
         "final_log_likelihood": likelihood["final"],
         "theta": model.theta.tolist(),
+        "spce": {"n_active": training.spce_model.n_active,
+                 "loo": training.spce_model.loo},
         "nugget": model.nugget,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "results": {res.method: {"pf": res.pf, "beta": res.beta, "r": res.r}

@@ -74,7 +74,7 @@ class TrussGeometry:
         for label in sorted(d["loads"], key=lambda s: (len(s), s)):
             node, direction = d["loads"][label]
             sign = -1.0 if direction.startswith("-") else 1.0
-            axis = _AXES[direction.lstrip("+-")]
+            axis = _AXES.get(direction.lstrip("+-"))  # None fails validation
             loads.append((label, int(node), axis, sign))
         return cls(nodes=np.asarray(d["nodes"], dtype=float),
                    elements=np.asarray(d["elements"], dtype=np.int64),

@@ -3,7 +3,8 @@
 ``run`` executes the methods requested in a JSON study config against a named
 benchmark (or a user plugin) and writes CSV tables plus serialized surrogate
 models into the output directory.  ``report`` pretty-prints a results
-directory.  Exit codes: 0 success, 2 configuration error, 3 numerical error.
+directory.  Exit codes: 0 success, 2 configuration error (config, geometry
+file, a setting or the limit state's output shape), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
 from .benchmarks.truss import TrussGeometry, truss_state
-from .errors import NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 from .hpcfe import HpcfeConfig
 from .probspace import ProbabilisticModel
 from .reliability import (
@@ -226,7 +227,13 @@ def _resolve_problem(cfg: StudyConfig) -> tuple[LimitState, ProbabilisticModel]:
     if cfg.geometry_file is not None:
         if cfg.benchmark != "truss":
             raise ConfigError("geometry_file is only valid for the truss benchmark")
-        state = truss_state(TrussGeometry.from_file(cfg.geometry_file))
+        try:
+            geometry = TrussGeometry.from_file(cfg.geometry_file)
+        except KeyError as exc:
+            raise ConfigError(f"geometry file {cfg.geometry_file}: missing key {exc}")
+        except (TypeError, ValueError) as exc:  # bad JSON or values, invalid truss
+            raise ConfigError(f"geometry file {cfg.geometry_file}: {exc}")
+        state = truss_state(geometry)
     return state, model
 
 
@@ -278,10 +285,11 @@ def run_study(cfg: StudyConfig) -> int:
                     res = spce_only_pipeline(training, cfg.pipeline)
                 else:
                     res, artifacts = sas_hpcfe_pipeline(training, cfg.pipeline)
-        except (ParameterError, NumericalError, np.linalg.LinAlgError) as exc:
+        except (ParameterError, DimensionError, NumericalError,
+                np.linalg.LinAlgError) as exc:
             print(f"error: {method} failed: {exc}", file=sys.stderr)
             _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-            return 2 if isinstance(exc, ParameterError) else 3
+            return 2 if isinstance(exc, (ParameterError, DimensionError)) else 3
         rows.append(_result_row(res, beta_ref))
         _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
         if artifacts is not None:

@@ -47,7 +47,11 @@ class LimitState:
         if x.shape[1] != self.dim:
             raise DimensionError(
                 f"{self.name} expects {self.dim} variables, got {x.shape[1]}")
-        return np.asarray(self.fn(x), dtype=float).reshape(x.shape[0])
+        g = np.asarray(self.fn(x), dtype=float)
+        if g.size != x.shape[0]:
+            raise DimensionError(
+                f"{self.name} returned {g.size} values for {x.shape[0]} points")
+        return g.reshape(x.shape[0])
 
 
 class CountingLimitState:

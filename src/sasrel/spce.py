@@ -2,9 +2,10 @@
 
 The candidate set is the full total-degree Legendre basis in standardized
 coordinates.  LAR builds a forward path of regressors ordered by correlation
-with the running residual; every path model is refit by ordinary least squares
-and scored by a corrected leave-one-out error, and the best-scoring model is
-returned.  The fit is fully deterministic.
+with the running residual; one incremental QR refits every path model by
+ordinary least squares and scores it by a corrected leave-one-out error, and
+the best-scoring model is returned from the same refit.  The fit is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -42,39 +43,66 @@ _LOO_EXACT = 1e-14
 _DESIGN_BYTES_LIMIT = 2_000_000_000
 
 
-def loo_error(regressors: np.ndarray, y: np.ndarray) -> float:
-    """Corrected leave-one-out error of an OLS fit, from a single factorization.
+class _IncrementalOls:
+    """OLS fit of ``y`` on ``M = [1 | columns]``, grown one raw column at a time.
 
-    ``regressors`` is the full design matrix of the fitted model including any
-    constant column.  Uses the hat-matrix identity
-    ``e_i = resid_i / (1 - h_i)``; the mean squared ``e`` is normalized by the
-    response variance and multiplied by the finite-sample correction
-    ``N/(N-P) * (1 + tr((M^T M)^{-1}))``.
-
-    Returns ``+inf`` when any training point is interpolating (hat diagonal at
-    1) or when there are at least as many parameters as points.
+    Keeps a Gram-Schmidt QR of ``M`` (each column orthogonalized twice),
+    ``R^-1``, the hat diagonal ``h`` and ``tr((M^T M)^-1)``, so one column
+    costs O(n k).  The corrected leave-one-out error is the mean squared
+    ``resid_i / (1 - h_i)`` over the response variance, times
+    ``N/(N-P) * (1 + tr((M^T M)^-1))``; it is ``+inf`` when a point is
+    interpolated (``h_i`` at 1) or there are at least as many parameters as
+    points.
     """
-    M = np.asarray(regressors, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = M.shape
-    if n != y.shape[0]:
-        raise DimensionError(f"{n} design rows vs {y.shape[0]} responses")
-    if n <= p:
-        return math.inf
-    q, r_fact = np.linalg.qr(M)
-    if np.min(np.abs(np.diag(r_fact))) <= _COLLINEAR_TOL * n:
-        return math.inf
-    h = np.einsum("ij,ij->i", q, q)
-    if np.max(h) >= 1.0 - 1e-10:
-        return math.inf
-    resid = y - q @ (q.T @ y)
-    e = resid / (1.0 - h)
-    sum_sq = float(np.sum((y - y.mean()) ** 2))
-    if sum_sq <= 1e-28 * n:
-        return 0.0 if float(np.sum(e**2)) <= 1e-24 * n else math.inf
-    r_inv = solve_triangular(r_fact, np.eye(p))
-    correction = n / (n - p) * (1.0 + float(np.sum(r_inv**2)))
-    return float(np.sum(e**2)) / sum_sq * correction
+
+    def __init__(self, y: np.ndarray, max_cols: int):
+        n = y.shape[0]
+        self.y = y
+        self.k = 0  # columns added besides the constant
+        self.q = np.empty((n, max_cols + 1))
+        self.q[:, 0] = 1.0 / math.sqrt(n)
+        self.r_inv = np.zeros((max_cols + 1, max_cols + 1))
+        self.r_inv[0, 0] = 1.0 / math.sqrt(n)
+        self.hat = np.full(n, 1.0 / n)
+        self.resid = y - y.mean()
+        self.trace_inv = 1.0 / n
+        self.sum_sq = float(np.sum(self.resid**2))
+
+    def add(self, v: np.ndarray) -> bool:
+        """Append column ``v``; False, with nothing changed, if it is dependent."""
+        k = self.k + 1
+        q = self.q[:, :k]
+        w = q.T @ v
+        v_perp = v - q @ w
+        w2 = q.T @ v_perp
+        v_perp -= q @ w2
+        w += w2
+        rho = float(np.linalg.norm(v_perp))
+        if rho <= _COLLINEAR_TOL * max(1.0, float(np.linalg.norm(v))):
+            return False
+        q_new = v_perp / rho
+        self.q[:, k] = q_new
+        self.hat = self.hat + q_new**2
+        self.resid = self.resid - q_new * float(q_new @ self.resid)
+        new_col = -self.r_inv[:k, :k] @ (w / rho)
+        self.r_inv[:k, k] = new_col
+        self.r_inv[k, k] = 1.0 / rho
+        self.trace_inv += float(new_col @ new_col) + 1.0 / rho**2
+        self.k = k
+        return True
+
+    def coefficients(self) -> np.ndarray:
+        """``R^-1 Q^T y``: the intercept, then one coefficient per added column."""
+        p = self.k + 1
+        return self.r_inv[:p, :p] @ (self.q[:, :p].T @ self.y)
+
+    def loo(self) -> float:
+        """Corrected leave-one-out error of the current fit."""
+        n, p = self.y.shape[0], self.k + 1
+        if n <= p or np.max(self.hat) >= 1.0 - 1e-10:
+            return math.inf
+        e = self.resid / (1.0 - self.hat)
+        return float(np.sum(e**2)) / self.sum_sq * (n / (n - p)) * (1.0 + self.trace_inv)
 
 
 def lar_path(X: np.ndarray, y: np.ndarray,
@@ -224,9 +252,11 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     """Fit a sparse expansion on a standardized design of experiments.
 
     Runs the LAR path over the total-degree candidate basis (centered,
-    unit-norm regressors), refits every path model by OLS and keeps the one
-    with the smallest corrected leave-one-out error.  Near-ties resolve to the
-    sparsest model.
+    unit-norm regressors); one incremental OLS refit of the raw joined columns
+    scores every path model by its corrected leave-one-out error.  The
+    sparsest model near the best score is replayed, in path order, through a
+    fresh refit, which gives its coefficients and stored score; numerically
+    zero terms are dropped by one more replay.
 
     Args:
         xi: (N_s, dim) training points in [-1, 1]^dim.
@@ -257,23 +287,6 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
             f"{est_bytes / 1e9:.1f} GB of design matrix; reduce p_max")
     candidates = BasisSet.total_degree(dim, p_max)
 
-    def final_model(cols: list[int]) -> SparsePceModel:
-        # path columns index phi[:, 1:]; shift past the constant column
-        rows = sorted(1 + c for c in cols)
-        design = np.column_stack([np.ones(n)] + [phi[:, c] for c in rows])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        # discard path terms whose refit coefficient is numerically zero
-        keep = np.abs(coef[1:]) > 1e-10 * float(np.abs(coef[1:]).max(initial=0.0))
-        if not keep.all():
-            rows = [r for r, k in zip(rows, keep) if k]
-            design = np.column_stack([np.ones(n)] + [phi[:, c] for c in rows])
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        return SparsePceModel(
-            dim=dim, p_max=p_max,
-            indices=candidates.indices[rows],
-            coefficients=coef[1:], intercept=float(coef[0]),
-            loo=loo_error(design, y))
-
     if float(np.ptp(y)) <= 1e-14 * max(1.0, float(np.abs(y).max())):
         return SparsePceModel(dim=dim, p_max=p_max,
                               indices=np.empty((0, dim), dtype=np.int64),
@@ -292,67 +305,39 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     if max_terms is not None:
         max_steps = min(max_steps, max_terms)
 
-    # incremental QR state of the refit design [1 | selected raw columns]
-    q_cols = np.empty((n, max_steps + 1))
-    q_cols[:, 0] = 1.0 / math.sqrt(n)
-    r_inv = np.zeros((max_steps + 1, max_steps + 1))
-    r_inv[0, 0] = 1.0 / math.sqrt(n)
-    hat = np.full(n, 1.0 / n)
-    resid = y - y.mean()
-    trace_inv = 1.0 / n
-    sum_sq = float(np.sum((y - y.mean()) ** 2))
+    def refit(cols: list[int]) -> _IncrementalOls:
+        # path columns index phi[:, 1:]; shift past the constant column
+        ols = _IncrementalOls(y, len(cols))
+        for c in cols:
+            ols.add(phi[:, 1 + c])
+        return ols
 
-    def scored(k: int) -> float:
-        # corrected LOO of the current k-term refit (k + 1 parameters)
-        p = k + 1
-        if n <= p or np.max(hat) >= 1.0 - 1e-10:
-            return math.inf
-        e = resid / (1.0 - hat)
-        return float(np.sum(e**2)) / sum_sq * (n / (n - p)) * (1.0 + trace_inv)
-
+    path = _IncrementalOls(y, max_steps)
     path_cols: list[int] = []
-    scores = [scored(0)]
-    best_k, best_score = 0, scores[0]
-
+    scores = [path.loo()]
     for col, _ in lar_path(X, y - y.mean(), max_steps=max_steps):
-        k = len(path_cols) + 1
-        v = phi[:, 1 + col]
-        w = q_cols[:, :k].T @ v
-        v_perp = v - q_cols[:, :k] @ w
-        w2 = q_cols[:, :k].T @ v_perp
-        v_perp -= q_cols[:, :k] @ w2
-        w += w2
-        rho = float(np.linalg.norm(v_perp))
-        if rho <= _COLLINEAR_TOL * max(1.0, float(np.linalg.norm(v))):
+        if not path.add(phi[:, 1 + col]):
             warnings.warn("dropping linearly dependent regressor; path stopped",
                           RuntimeWarning)
             break
-        q_new = v_perp / rho
-        q_cols[:, k] = q_new
-        hat = hat + q_new**2
-        resid = resid - q_new * float(q_new @ resid)
-        new_col = -r_inv[:k, :k] @ (w / rho)
-        r_inv[:k, k] = new_col
-        r_inv[k, k] = 1.0 / rho
-        trace_inv += float(new_col @ new_col) + 1.0 / rho**2
-
         path_cols.append(col)
-        score = scored(k)
-        scores.append(score)
-        if score < best_score:
-            best_score, best_k = score, k
-        if score <= _LOO_EXACT:
+        scores.append(path.loo())
+        if scores[-1] <= _LOO_EXACT:
             break
 
-    # prefer the sparsest model within a hair of the best score
-    for k, s in enumerate(scores):
-        if s <= best_score * (1.0 + _LOO_TIE_RTOL):
-            best_k = k
-            break
-
-    if best_k == 0:
-        return SparsePceModel(dim=dim, p_max=p_max,
-                              indices=np.empty((0, dim), dtype=np.int64),
-                              coefficients=np.empty(0), intercept=float(y.mean()),
-                              loo=scores[0])
-    return final_model(path_cols[:best_k])
+    # the sparsest model within a hair of the best score
+    best = min(scores)
+    best_k = next(k for k, s in enumerate(scores) if s <= best * (1.0 + _LOO_TIE_RTOL))
+    ols = refit(path_cols[:best_k])
+    # discard path terms whose refit coefficient is numerically zero; the
+    # kept columns are a subset of an independent prefix, so none is rejected
+    size = np.abs(ols.coefficients()[1:])
+    cols = [c for c, a in zip(path_cols, size) if a > 1e-10 * size.max(initial=0.0)]
+    if len(cols) < best_k:
+        ols = refit(cols)
+    coef = ols.coefficients()
+    order = np.argsort(cols)
+    return SparsePceModel(
+        dim=dim, p_max=p_max,
+        indices=candidates.indices[1 + np.asarray(cols, dtype=np.int64)[order]],
+        coefficients=coef[1:][order], intercept=float(coef[0]), loo=ols.loo())

@@ -232,6 +232,58 @@ def test_plugin_missing_hook_exits_2(tmp_path, capsys):
     assert "get_model" in capsys.readouterr().err
 
 
+def test_plugin_output_of_wrong_length_exits_2(tmp_path, capsys):
+    plugin = tmp_path / "short.py"
+    plugin.write_text(PLUGIN_SOURCE.replace("x[:, 0] + x[:, 1] - 0.5", "np.ones(3)"))
+    cfg_path, out = write_config(tmp_path, base={
+        "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
+        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "error: mcs failed: plane returned 3 values for 100 points" \
+        in capsys.readouterr().err
+    assert read_results(out) == []
+
+
+def test_plugin_output_of_one_column_runs(tmp_path):
+    plugin = tmp_path / "column.py"
+    plugin.write_text(PLUGIN_SOURCE.replace(
+        "x[:, 0] + x[:, 1] - 0.5", "(x[:, 0] + x[:, 1] - 0.5)[:, None]"))
+    cfg_path, out = write_config(tmp_path, base={
+        "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 20000,
+        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100, "seed": 5})
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert float(read_results(out)[0]["pf"]) == pytest.approx(0.125, abs=0.01)
+
+
+@pytest.mark.parametrize("defect, fragment", [
+    ("missing node", "references a missing node"),
+    ("invalid json", "Expecting"),
+    ("no loads", "missing key 'loads'"),
+    ("unknown axis", "bad load placement for P1"),
+    ("text nodes", "could not convert string to float"),
+])
+def test_malformed_geometry_file_exits_2(tmp_path, capsys, defect, fragment):
+    payload = json.loads((SRC_DIR / "sasrel/benchmarks/data/truss25.json").read_text())
+    if defect == "missing node":
+        payload["elements"][0][1] = len(payload["nodes"])
+    elif defect == "no loads":
+        del payload["loads"]
+    elif defect == "unknown axis":
+        payload["loads"]["P1"][1] = "+w"
+    elif defect == "text nodes":
+        payload["nodes"] = "abc"
+    text = "{not valid json" if defect == "invalid json" else json.dumps(payload)
+    geometry = tmp_path / "geometry.json"
+    geometry.write_text(text)
+    cfg_path, _ = write_config(tmp_path, base={
+        "benchmark": "truss", "methods": ["mcs"], "n_mcs": 100,
+        "geometry_file": str(geometry)})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: geometry file {geometry}:" in err
+    assert fragment in err
+
+
 def test_numerical_failure_exits_3_and_keeps_partial_results(tmp_path, capsys):
     plugin = tmp_path / "nan.py"
     plugin.write_text(PLUGIN_SOURCE.replace(

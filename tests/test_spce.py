@@ -9,11 +9,31 @@ from sasrel import polybasis, spce
 from sasrel.errors import DimensionError, ParameterError
 from sasrel.polybasis import BasisSet, basis_cardinality, eval_design_matrix
 from sasrel.probspace import sobol_points
-from sasrel.spce import SparsePceModel, fit_lar, lar_path, loo_error
+from sasrel.spce import SparsePceModel, _IncrementalOls, fit_lar, lar_path
 
 
 def std_doe(n, dim):
     return 2.0 * sobol_points(n, dim) - 1.0
+
+
+def loo_error(M, y):
+    """Corrected LOO of the OLS fit of y on M, whose first column is constant."""
+    ols = _IncrementalOls(y, M.shape[1] - 1)
+    for v in M[:, 1:].T:
+        assert ols.add(v)
+    return ols.loo()
+
+
+def brute_force_loo(M, y):
+    """Corrected LOO from n refits, each leaving one point out."""
+    n, p = M.shape
+    errs = np.empty(n)
+    for i in range(n):
+        keep = np.arange(n) != i
+        coef, *_ = np.linalg.lstsq(M[keep], y[keep], rcond=None)
+        errs[i] = y[i] - M[i] @ coef
+    correction = n / (n - p) * (1.0 + np.trace(np.linalg.inv(M.T @ M)))
+    return np.sum(errs**2) / np.sum((y - y.mean()) ** 2) * correction
 
 
 def test_linear_response_recovers_single_term():
@@ -139,14 +159,7 @@ def test_loo_matches_brute_force_refits():
     x = rng.uniform(-1, 1, size=(20, 2))
     M = np.column_stack([np.ones(20), x[:, 0], x[:, 1], x[:, 0] * x[:, 1]])
     y = M @ np.array([0.5, 1.0, -2.0, 0.7]) + 0.3 * rng.standard_normal(20)
-    errs = np.empty(20)
-    for i in range(20):
-        keep = np.arange(20) != i
-        coef, *_ = np.linalg.lstsq(M[keep], y[keep], rcond=None)
-        errs[i] = y[i] - M[i] @ coef
-    n, p = M.shape
-    correction = n / (n - p) * (1.0 + np.trace(np.linalg.inv(M.T @ M)))
-    brute = np.sum(errs**2) / np.sum((y - y.mean()) ** 2) * correction
+    brute = brute_force_loo(M, y)
     assert loo_error(M, y) == pytest.approx(brute, rel=1e-10)
 
 
@@ -154,6 +167,21 @@ def test_loo_interpolating_design_is_infinite():
     rng = np.random.default_rng(3)
     M = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
     assert loo_error(M, rng.standard_normal(4)) == math.inf
+
+
+def test_fit_loo_is_brute_force_loo_of_returned_model():
+    # the stored score is the refit the selection compared, on the model's
+    # own columns: check it against n leave-one-out refits
+    rng = np.random.default_rng(10)
+    xi = std_doe(60, 3)
+    y = np.sin(2 * xi[:, 0]) + xi[:, 1] * xi[:, 2] + 0.05 * rng.standard_normal(60)
+    model = fit_lar(xi, y, p_max=3)
+    assert 0 < model.n_active < 19
+    M = np.column_stack([np.ones(60), eval_design_matrix(model.basis, xi)])
+    assert model.loo == pytest.approx(brute_force_loo(M, y), rel=1e-10)
+    coef, *_ = np.linalg.lstsq(M, y, rcond=None)
+    np.testing.assert_allclose(model.coefficients, coef[1:], rtol=1e-10)
+    assert model.intercept == pytest.approx(coef[0], rel=1e-10)
 
 
 def test_lar_equicorrelation_along_path():
