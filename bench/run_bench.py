@@ -21,12 +21,14 @@ It also records the number of concentrated-likelihood evaluations (the
 final assembly included), their total seconds and the part of it spent
 building and factoring the correlation matrix (``corr_chol_s``; the fitted
 model reuses the factor of the final assembly), the final log-likelihood,
-the fitted length scales, the sparse expansion's active-term count and
-leave-one-out error, pf/beta/r per method, the surrogates' beta error
-against the reference, the BLAS thread setting and the numpy and scipy
-versions.  The record goes into the JSON file ``--out`` under ``runs[<label>]``; other
-labels already in the file are kept, so a parent and a change can share one
-file.
+each optimizer start (its start and end log10 theta, its final
+log-likelihood, the evaluations it added and scipy's ``nfev``, which also
+counts the points the memo answered), the fitted length scales, the sparse
+expansion's active-term count and leave-one-out error, pf/beta/r per method,
+the surrogates' beta error against the reference, the BLAS thread setting
+and the numpy and scipy versions.  The record goes into the JSON file
+``--out`` under ``runs[<label>]``; other labels already in the file are
+kept, so a parent and a change can share one file.
 """
 
 from __future__ import annotations
@@ -77,6 +79,18 @@ def run_study(name: str, seed: int) -> dict:
         return out
 
     hpcfe._profile_likelihood = counted_profile
+    starts = []
+    minimize = hpcfe.minimize
+
+    def recorded_minimize(fun, x0, **kwargs):
+        before = likelihood["evals"]
+        res = minimize(fun, x0, **kwargs)
+        starts.append({"start_log_theta": np.asarray(x0).tolist(),
+                       "log_theta": res.x.tolist(), "ll": -float(res.fun),
+                       "evals": likelihood["evals"] - before, "nfev": int(res.nfev)})
+        return res
+
+    hpcfe.minimize = recorded_minimize
     hpcfe._chol_with_retries = _timed(hpcfe._chol_with_retries, likelihood, "corr_chol_s")
     hpcfe.fit = _timed(hpcfe.fit, seconds, "hpcfe_fit_s")
     reliability.subspace_from_surrogate = _timed(
@@ -108,6 +122,7 @@ def run_study(name: str, seed: int) -> dict:
         "likelihood_s": round(likelihood["s"], 3),
         "corr_chol_s": round(likelihood["corr_chol_s"], 3),
         "final_log_likelihood": likelihood["final"],
+        "optimizer_starts": starts,
         "theta": model.theta.tolist(),
         "spce": {"n_active": training.spce_model.n_active,
                  "loo": training.spce_model.loo},

@@ -203,12 +203,17 @@ def _load_plugin(path: str) -> tuple[LimitState, ProbabilisticModel]:
     if spec is None or spec.loader is None:
         raise ConfigError(f"cannot import plugin {path}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for attr in ("get_limit_state", "get_model"):
-        if not callable(getattr(module, attr, None)):
-            raise ConfigError(f"plugin {path} must define {attr}()")
-    state = module.get_limit_state()
-    model = module.get_model()
+    try:
+        spec.loader.exec_module(module)
+        for attr in ("get_limit_state", "get_model"):
+            if not callable(getattr(module, attr, None)):
+                raise ConfigError(f"plugin {path} must define {attr}()")
+        state = module.get_limit_state()
+        model = module.get_model()
+    except ConfigError:
+        raise
+    except Exception as exc:  # the plugin's own code failed
+        raise ConfigError(f"plugin {path}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(state, LimitState) or not isinstance(model, ProbabilisticModel):
         raise ConfigError(
             f"plugin {path}: get_limit_state()/get_model() returned wrong types")

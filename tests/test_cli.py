@@ -232,6 +232,23 @@ def test_plugin_missing_hook_exits_2(tmp_path, capsys):
     assert "get_model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, fragment", [
+    ("def get_limit_state(:\n    pass\n", "SyntaxError"),
+    (PLUGIN_SOURCE.replace('return ProbabilisticModel([Marginal("uniform", 0.0, 1.0)] * 3)',
+                           "raise KeyError('lognormal')"), "KeyError: 'lognormal'"),
+], ids=["syntax-error", "get-model-raises"])
+def test_plugin_that_fails_to_load_exits_2(tmp_path, capsys, source, fragment):
+    plugin = tmp_path / "broken.py"
+    plugin.write_text(source)
+    cfg_path, _ = write_config(tmp_path, base={
+        "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
+        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: plugin {plugin}: ")
+    assert fragment in err
+
+
 def test_plugin_output_of_wrong_length_exits_2(tmp_path, capsys):
     plugin = tmp_path / "short.py"
     plugin.write_text(PLUGIN_SOURCE.replace("x[:, 0] + x[:, 1] - 0.5", "np.ones(3)"))

@@ -175,6 +175,30 @@ def test_fit_evaluates_each_requested_theta_once(monkeypatch):
     assert len(built) == len(evaluated)
 
 
+def test_initial_simplex_steps_zero_coordinates_by_a_share_of_the_log_box(monkeypatch):
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-1, 1, size=(20, 2))
+    y = z[:, 0] + 0.5 * z[:, 1] ** 2
+    simplices = []
+    minimize = hpcfe.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        simplices.append((np.array(x0), kwargs["options"]["initial_simplex"]))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(hpcfe, "minimize", recording_minimize)
+    # log10 theta in [-3, 3]: the Sobol starts are (0, 0) and (1.5, -1.5)
+    fit(z, y, small_config(theta_bounds=(1e-3, 1e3), nm_max_evals=10))
+    (zero, zero_simplex), (nonzero, nonzero_simplex) = simplices
+    assert zero.tolist() == [0.0, 0.0] and np.all(nonzero != 0.0)
+    step = 0.025 * 6.0  # 2.5% of the 6-decade log box
+    np.testing.assert_array_equal(zero_simplex, [[0.0, 0.0], [step, 0.0], [0.0, step]])
+    # scipy's own step, bit for bit, where the coordinate is not zero
+    np.testing.assert_array_equal(
+        nonzero_simplex, [nonzero, [1.05 * nonzero[0], nonzero[1]],
+                          [nonzero[0], 1.05 * nonzero[1]]])
+
+
 def test_singular_correlation_exhausts_nugget_retries():
     z = np.array([[0.0], [0.0], [0.5], [1.0]])  # duplicated point
     y = np.array([1.0, 1.0, 2.0, 5.0])
@@ -387,6 +411,22 @@ def test_likelihood_at_optimum_beats_every_start():
     starts = 10.0 ** (lo + (hi - lo) * sobol_points(cfg.restarts, 2))
     for theta0 in starts:
         assert best >= concentrated_ll(fit_fixed_theta(z, y, theta0, cfg)) - 1e-9
+
+
+def test_one_start_reaches_the_eight_start_optimum():
+    # the single start sits at log theta = 0 in every dimension
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-1, 1, size=(20, 2))
+    y = np.sin(2 * z[:, 0]) + 0.5 * np.cos(3 * z[:, 1])
+
+    def concentrated_ll(cfg):
+        with pytest.warns(RuntimeWarning, match="optimization bound"):
+            m = fit(z, y, cfg)
+        return -0.5 * m.d.shape[0] * math.log(m.sigma2) \
+            - float(np.sum(np.log(np.diag(m._chol))))
+
+    one = concentrated_ll(HpcfeConfig(restarts=1, nm_max_evals=60))
+    assert one >= concentrated_ll(HpcfeConfig(restarts=8)) - 1e-4
 
 
 def test_fixed_theta_reproduces_fit_at_its_optimum():
