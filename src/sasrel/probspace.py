@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .errors import DimensionError, DomainError, ParameterError
@@ -73,6 +74,9 @@ class Marginal:
     hi: float = 1.0
     truncation: tuple[float, float] | None = None
     name: str = ""
+    # base-CDF levels (ua, ub) of the truncation bounds, set by __post_init__
+    _levels: tuple[float, float] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "normal", "lognormal", "gumbel"):
@@ -86,11 +90,13 @@ class Marginal:
             a, b = self.truncation
             if not a < b:
                 raise ParameterError(f"truncation interval must be ordered, got [{a}, {b}]")
-            mass = self._base_dist().cdf(b) - self._base_dist().cdf(a)
-            if mass <= 1e-12:
+            dist = self._base_dist()
+            ua, ub = dist.cdf(a), dist.cdf(b)
+            if ub - ua <= 1e-12:
                 raise ParameterError(
                     f"truncation [{a}, {b}] retains no probability mass for {self.kind}"
                 )
+            object.__setattr__(self, "_levels", (ua, ub))
 
     def _base_dist(self):
         if self.kind == "uniform":
@@ -119,25 +125,35 @@ class Marginal:
             raise DomainError(
                 f"value outside support [{lo}, {hi}] of marginal {self.name or self.kind}"
             )
-        dist = self._base_dist()
-        u = dist.cdf(x)
-        if self.truncation is not None:
-            ua, ub = dist.cdf(self.truncation[0]), dist.cdf(self.truncation[1])
+        u = self._base_dist().cdf(x)
+        if self._levels is not None:
+            ua, ub = self._levels
             u = (u - ua) / (ub - ua)
         return np.clip(u, 0.0, 1.0)
 
     def ppf(self, u):
+        """Inverse CDF, renormalized over the truncation interval.
+
+        Each kind evaluates the closed form that ``scipy.stats`` evaluates,
+        the same operations in the same order, so the result is bitwise
+        scipy's without building a frozen distribution per call.  Levels 0
+        and 1 map to the support's ends, as in scipy.
+        """
         u = np.asarray(u, dtype=float)
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise DomainError("probability levels must lie in [0, 1]")
-        if self.kind == "uniform" and self.truncation is None:
-            # scipy's uniform ppf is this expression; skip its frozen distribution
-            return self.lo + u * (self.hi - self.lo)
-        dist = self._base_dist()
-        if self.truncation is not None:
-            ua, ub = dist.cdf(self.truncation[0]), dist.cdf(self.truncation[1])
+        if self._levels is not None:
+            ua, ub = self._levels
             u = ua + u * (ub - ua)
-        return dist.ppf(u)
+        if self.kind == "uniform":
+            return u * (self.hi - self.lo) + self.lo
+        p = moment_match(self.kind, self.mean, self.sd)
+        with np.errstate(divide="ignore"):
+            if self.kind == "normal":
+                return ndtri(u) * p["scale"] + p["loc"]
+            if self.kind == "lognormal":
+                return np.exp(p["sigma"] * ndtri(u)) * math.exp(p["mu"]) + 0.0
+            return -np.log(-np.log(u)) * p["scale"] + p["loc"]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from sasrel import hpcfe, polybasis
 from sasrel.errors import DimensionError, NumericalError, ParameterError
@@ -94,9 +95,44 @@ def test_correlation_matrix_bitwise_equals_kernel_plus_nugget_identity():
     rng = np.random.default_rng(12)
     z = rng.uniform(-1, 1, size=(40, 3))
     theta = np.array([0.7, 3.0, 11.0])
+    zt = z * np.sqrt(theta)
     for nugget in (1e-8, 1e-3, 0.0):
-        expected = hpcfe._kernel_cross(z, z, theta) + nugget * np.eye(40)
-        assert correlation_matrix(z, theta, nugget).tobytes() == expected.tobytes()
+        expected = np.exp(-cdist(zt, zt, "sqeuclidean")) + nugget * np.eye(40)
+        r = correlation_matrix(z, theta, nugget)
+        assert r.tobytes() == expected.tobytes()
+        assert np.all(np.diag(r) == 1.0 + nugget)
+
+
+@pytest.mark.parametrize("r", [1, 3, 9])
+def test_kernel_cross_matches_cdist_form(r):
+    rng = np.random.default_rng(20 + r)
+    z_train = rng.uniform(-1, 1, size=(60, r))
+    # points well outside the training box, and some on training points
+    z_new = np.vstack([rng.uniform(-1.5, 1.5, size=(200, r)), z_train[:10]])
+    theta = np.resize([0.7, 3.0, 11.0, 0.01], r)
+    sq = np.sqrt(theta)
+    reference = np.exp(-cdist(z_new * sq, z_train * sq, "sqeuclidean"))
+    k = hpcfe._kernel_cross(z_new, z_train, theta)
+    assert k.shape == (210, 60)
+    assert np.abs(k - reference).max() <= 1e-14
+    assert k.max() <= 1.0
+    np.testing.assert_allclose(k[200:].diagonal(), 1.0, rtol=0.0, atol=1e-14)
+
+
+def test_kernel_cross_error_scales_with_squared_norms_at_the_theta_bound():
+    # the expanded form cancels |a|^2 + |b|^2 - 2 a.b, so its absolute error
+    # grows with the squared norms; at theta = 100 in 9 coordinates they reach
+    # ~2e3 and the error is above 1e-14, but within a few eps of them
+    rng = np.random.default_rng(29)
+    z_train = rng.uniform(-1, 1, size=(60, 9))
+    z_new = np.vstack([rng.uniform(-1.5, 1.5, size=(200, 9)), z_train])
+    theta = np.full(9, 100.0)
+    a, b = z_new * 10.0, z_train * 10.0
+    reference = np.exp(-cdist(a, b, "sqeuclidean"))
+    k = hpcfe._kernel_cross(z_new, z_train, theta)
+    scale = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    assert np.all(np.abs(k - reference) <= 4 * np.finfo(float).eps * scale)
+    assert k.max() <= 1.0
 
 
 def test_factor_is_lower_cholesky_in_the_correlation_matrix(monkeypatch):

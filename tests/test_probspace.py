@@ -107,6 +107,40 @@ def test_uniform_ppf_bitwise_equals_scipy(lo, hi):
         m.ppf(np.array([0.5, 1.5]))
 
 
+@pytest.mark.parametrize("marginal", [
+    Marginal(kind="normal", mean=2.0, sd=0.5),
+    Marginal(kind="lognormal", mean=30.0, sd=7.5),
+    Marginal(kind="gumbel", mean=10.0, sd=2.0),
+    Marginal(kind="uniform", lo=-3.2, hi=7.1, truncation=(-1.0, 5.0)),
+    Marginal(kind="normal", mean=2.0, sd=0.5, truncation=(1.0, 2.9)),
+    Marginal(kind="lognormal", mean=30.0, sd=7.5, truncation=(20.0, 60.0)),
+    Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0)),
+], ids=lambda m: m.kind + ("-truncated" if m.truncation else ""))
+def test_closed_form_ppf_bitwise_equals_scipy(marginal):
+    u = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(3).random(1000)])
+    dist = marginal._base_dist()
+    levels = u
+    if marginal.truncation is not None:
+        ua, ub = dist.cdf(marginal.truncation[0]), dist.cdf(marginal.truncation[1])
+        levels = ua + u * (ub - ua)
+    assert marginal.ppf(u).tobytes() == dist.ppf(levels).tobytes()
+    assert marginal.ppf(0.5) == dist.ppf(levels[2])
+    with pytest.raises(DomainError):
+        marginal.ppf(np.array([0.5, 1.5]))
+
+
+def test_ppf_builds_no_scipy_distribution(monkeypatch):
+    m = Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0))
+    expected = m.ppf(np.linspace(0.0, 1.0, 11))
+    assert m == Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0))
+
+    def refused(self):
+        raise AssertionError("ppf built a scipy distribution")
+
+    monkeypatch.setattr(Marginal, "_base_dist", refused)
+    assert m.ppf(np.linspace(0.0, 1.0, 11)).tobytes() == expected.tobytes()
+
+
 def test_sobol_first_points_frozen():
     np.testing.assert_allclose(
         sobol_points(4, 1).ravel(), [0.5, 0.75, 0.25, 0.375])
