@@ -17,18 +17,23 @@ calls the pipeline stages directly, as ``sasrel run`` does, and times them:
 - ``hpcfe_fit_s``: the HPCFE fit (length-scale search and final assembly)
 - ``hpcfe_predict_s``: the Monte Carlo on the HPCFE surrogate (wall time)
 
-It also records the number of concentrated-likelihood evaluations (the
-final assembly included), their total seconds and the part of it spent
-building and factoring the correlation matrix (``corr_chol_s``; the fitted
-model reuses the factor of the final assembly), the final log-likelihood,
-each optimizer start (its start and end log10 theta, its final
-log-likelihood, the evaluations it added and scipy's ``nfev``, which also
-counts the points the memo answered), the fitted length scales, the sparse
-expansion's active-term count and leave-one-out error, pf/beta/r per method,
-the surrogates' beta error against the reference, the BLAS thread setting
-and the numpy and scipy versions.  The record goes into the JSON file
-``--out`` under ``runs[<label>]``; other labels already in the file are
-kept, so a parent and a change can share one file.
+It also records each optimizer start as the fitted model records it
+(``HpcfeModel.starts``: start and end log10 theta, final log-likelihood, the
+evaluations it added to its process's memo, scipy's ``nfev``, which also
+counts the points the memo answered, wall seconds and process id), the
+number of processes that ran the starts (``fit_workers``), their summed
+seconds (``starts_s``), the likelihood evaluations (the starts' plus the
+final assembly's one) and the final log-likelihood.  The starts may run in
+forked worker processes, where counters in this process cannot see them, so
+the total likelihood seconds and the correlation build and factor seconds
+(``corr_chol_s``) of earlier records are no longer measured.  Beside the
+study's peak RSS it records ``children_peak_rss_mb``, the largest peak RSS
+of a finished worker process (``RUSAGE_CHILDREN``), then the fitted length
+scales, the sparse expansion's active-term count and leave-one-out error,
+pf/beta/r per method, the surrogates' beta error against the reference, the
+BLAS thread setting and the numpy and scipy versions.  The record goes into
+the JSON file ``--out`` under ``runs[<label>]``; other labels already in the
+file are kept, so a parent and a change can share one file.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,29 +74,6 @@ def run_study(name: str, seed: int) -> dict:
     bench = get_benchmark(name)
     cfg = replace(bench.pipeline, seed=seed)
     seconds = dict.fromkeys(("subspace_s", "hpcfe_fit_s"), 0.0)
-    likelihood = {"evals": 0, "final": None, "s": 0.0, "corr_chol_s": 0.0}
-    profile = _timed(hpcfe._profile_likelihood, likelihood, "s")
-
-    def counted_profile(*args, **kwargs):
-        out = profile(*args, **kwargs)
-        likelihood["evals"] += 1
-        likelihood["final"] = out[0]  # the last call is the final assembly
-        return out
-
-    hpcfe._profile_likelihood = counted_profile
-    starts = []
-    minimize = hpcfe.minimize
-
-    def recorded_minimize(fun, x0, **kwargs):
-        before = likelihood["evals"]
-        res = minimize(fun, x0, **kwargs)
-        starts.append({"start_log_theta": np.asarray(x0).tolist(),
-                       "log_theta": res.x.tolist(), "ll": -float(res.fun),
-                       "evals": likelihood["evals"] - before, "nfev": int(res.nfev)})
-        return res
-
-    hpcfe.minimize = recorded_minimize
-    hpcfe._chol_with_retries = _timed(hpcfe._chol_with_retries, likelihood, "corr_chol_s")
     hpcfe.fit = _timed(hpcfe.fit, seconds, "hpcfe_fit_s")
     reliability.subspace_from_surrogate = _timed(
         reliability.subspace_from_surrogate, seconds, "subspace_s")
@@ -118,16 +100,18 @@ def run_study(name: str, seed: int) -> dict:
     return {
         "seed": seed,
         "stage_s": {k: round(v, 3) for k, v in seconds.items()},
-        "likelihood_evals": likelihood["evals"],
-        "likelihood_s": round(likelihood["s"], 3),
-        "corr_chol_s": round(likelihood["corr_chol_s"], 3),
-        "final_log_likelihood": likelihood["final"],
-        "optimizer_starts": starts,
+        "fit_workers": len({s.pid for s in model.starts}),
+        "likelihood_evals": sum(s.evals for s in model.starts) + 1,
+        "starts_s": round(sum(s.seconds for s in model.starts), 3),
+        "final_log_likelihood": max(s.ll for s in model.starts),
+        "optimizer_starts": [asdict(s) for s in model.starts],
         "theta": model.theta.tolist(),
         "spce": {"n_active": training.spce_model.n_active,
                  "loo": training.spce_model.loo},
         "nugget": model.nugget,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "children_peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
         "results": {res.method: {"pf": res.pf, "beta": res.beta, "r": res.r}
                     for res in (ref, spce, sas)},
         "beta_err_pct": {"spce": beta_err(spce), "sas-hpcfe": beta_err(sas)},

@@ -14,6 +14,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import threading
+import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -23,6 +27,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
+from . import parallel
 from .errors import DimensionError, NumericalError, ParameterError
 from .polybasis import BasisSet, eval_design_matrix, row_blocks
 from .probspace import sobol_points
@@ -159,6 +164,24 @@ def _rescale(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 2.0 * (z - lo) / (hi - lo) - 1.0
 
 
+@dataclass(frozen=True)
+class StartRecord:
+    """One Nelder-Mead start of ``fit``, in log10 theta.
+
+    ``evals`` counts the likelihood evaluations the start added to the memo
+    of the process that ran it (``pid``); scipy's ``nfev`` also counts the
+    points the memo answered.  ``seconds`` is the start's wall time.
+    """
+
+    start_log_theta: tuple[float, ...]
+    log_theta: tuple[float, ...]
+    ll: float
+    evals: int
+    nfev: int
+    seconds: float
+    pid: int
+
+
 @dataclass(frozen=True, eq=False)
 class HpcfeModel:
     """Fitted hybrid surrogate, built by ``fit`` or ``fit_fixed_theta``.
@@ -166,8 +189,10 @@ class HpcfeModel:
     The private fields are the fit's own state at the fitted length scales:
     the rescaled training points, the Cholesky factor L of R (its lower
     triangle only; see ``_chol_with_retries``), x = L^-1 Psi and
-    R^-1 (d - Psi alpha).  Immutable; prediction is safe to share across
-    threads.  Equality is identity.
+    R^-1 (d - Psi alpha).  ``starts`` records the optimizer starts of
+    ``fit`` in start order (none for ``fit_fixed_theta``); ``to_json`` does
+    not write it.  Immutable; prediction is safe to share across threads.
+    Equality is identity.
     """
 
     config: HpcfeConfig
@@ -186,6 +211,7 @@ class HpcfeModel:
     _chol: np.ndarray = field(repr=False)
     _x: np.ndarray = field(repr=False)
     _w_resid: np.ndarray = field(repr=False)
+    starts: tuple[StartRecord, ...] = field(default=(), repr=False)
 
     def _scaled(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -298,7 +324,7 @@ def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float):
 
 
 def _assemble(data: _TrainingData, theta: np.ndarray, config: HpcfeConfig,
-              notes: list[str]) -> HpcfeModel:
+              notes: list[str], starts: tuple[StartRecord, ...] = ()) -> HpcfeModel:
     """The fitted model at the given length scales; fit notes are appended."""
     _, alpha, sigma2, eff, chol, x = _profile_likelihood(data, theta, config.nugget)
     if eff != config.nugget:
@@ -308,7 +334,8 @@ def _assemble(data: _TrainingData, theta: np.ndarray, config: HpcfeConfig,
                       sigma2=sigma2, z_train=data.z, d=data.d,
                       basis_map=data.basis_map, box_lo=data.box_lo,
                       box_hi=data.box_hi, nugget=eff, fit_notes=tuple(notes),
-                      _zs=data.zs, _chol=chol, _x=x, _w_resid=w_resid)
+                      _zs=data.zs, _chol=chol, _x=x, _w_resid=w_resid,
+                      starts=starts)
 
 
 def fit_fixed_theta(z: np.ndarray, y: np.ndarray, theta: np.ndarray,
@@ -318,50 +345,129 @@ def fit_fixed_theta(z: np.ndarray, y: np.ndarray, theta: np.ndarray,
                      config, [])
 
 
+@dataclass(frozen=True)
+class _Search:
+    """What every optimizer start of one ``fit`` shares: the training data,
+    the nugget, the log10 theta box and the per-start evaluation cap."""
+
+    data: _TrainingData
+    nugget: float
+    log_lo: float
+    log_hi: float
+    max_evals: int
+
+
+def _one_start(search: _Search, memo: dict[bytes, float], x0: np.ndarray) -> StartRecord:
+    """Bounded Nelder-Mead on the negative log-likelihood from ``x0`` (log10 theta).
+
+    ``memo`` maps each log theta this process evaluated to its negative
+    log-likelihood (inf where non-finite): bounded Nelder-Mead can ask again
+    for a point it clipped to a bound.  The initial simplex moves one
+    coordinate per vertex to 1.05 times its value, as scipy does, but a
+    coordinate at 0 by ``_ZERO_STEP`` of the log box: scipy would step it by
+    2.5e-4, and the first Sobol start sits at log theta = 0 (theta = 1, the
+    box centre) in every dimension.
+    """
+    t0 = time.perf_counter()
+    before = len(memo)
+
+    def neg_ll(log_theta: np.ndarray) -> float:
+        log_theta = np.asarray(log_theta, dtype=float)
+        key = log_theta.tobytes()
+        if key not in memo:
+            try:
+                ll = _profile_likelihood(search.data, 10.0 ** log_theta, search.nugget)[0]
+            except NumericalError:
+                ll = -math.inf
+            memo[key] = -ll if math.isfinite(ll) else math.inf
+        return memo[key]
+
+    r = x0.shape[0]
+    moved = np.where(x0 != 0.0, 1.05 * x0, _ZERO_STEP * (search.log_hi - search.log_lo))
+    simplex = np.vstack([x0, np.where(np.eye(r, dtype=bool), moved, x0)])
+    res = minimize(neg_ll, x0, method="Nelder-Mead",
+                   bounds=[(search.log_lo, search.log_hi)] * r,
+                   options={"maxfev": search.max_evals, "xatol": 1e-3, "fatol": 1e-4,
+                            "initial_simplex": simplex})
+    return StartRecord(start_log_theta=tuple(x0.tolist()), log_theta=tuple(res.x.tolist()),
+                       ll=-float(res.fun), evals=len(memo) - before, nfev=int(res.nfev),
+                       seconds=time.perf_counter() - t0, pid=os.getpid())
+
+
+# The search and memo of a pool worker process, set once by ``_start_worker``
+# when the process starts; never set in the process that calls ``fit``.
+_worker_search: _Search | None = None
+_worker_memo: dict[bytes, float] = {}
+
+
+def _start_worker(search: _Search) -> None:
+    global _worker_search, _worker_memo
+    _worker_search, _worker_memo = search, {}
+
+
+def _pooled_start(x0: np.ndarray) -> StartRecord:
+    return _one_start(_worker_search, _worker_memo, x0)
+
+
+def _fit_workers(starts: int) -> int:
+    """Processes for ``starts`` optimizer starts.
+
+    One per start, but no more than the usable cores hold processes of
+    ``parallel.blas_threads()`` BLAS threads each: with OpenBLAS threads
+    left unpinned, every process would spin one per core.
+    """
+    return max(1, min(starts, parallel.usable_cores() // parallel.blas_threads()))
+
+
+def _run_starts(search: _Search, starts: np.ndarray) -> list[StartRecord]:
+    """Every start's record, in start order.
+
+    The starts are independent, so they run on a pool of ``_fit_workers``
+    forked processes, each with its own memo.  Forking shares the training
+    data with the workers without pickling it; the pool forks all of its
+    workers before it starts its own threads.  With one worker, without the
+    fork start method, or while other threads run (a fork copies only the
+    calling thread, and a lock another thread holds stays held in the
+    child), the starts run here, one after the other, with one memo.
+    """
+    workers = _fit_workers(len(starts))
+    if workers == 1 or threading.active_count() > 1 \
+            or "fork" not in multiprocessing.get_all_start_methods():
+        memo: dict[bytes, float] = {}
+        return [_one_start(search, memo, x0) for x0 in starts]
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_start_worker, initargs=(search,))
+    try:
+        records = pool.map(_pooled_start, starts, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return records
+
+
 def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> HpcfeModel:
     """Train the hybrid surrogate on reduced coordinates.
 
     Training coordinates are affinely rescaled per dimension to [-1, 1] with a
     5% margin box (kept on the model; predictions outside it are legitimate
     extrapolation).  Length scales maximize the concentrated log-likelihood
-    over Sobol-spread multi-starts in log space; best candidate by
-    likelihood, then lexicographic theta.
-
-    Each start's initial simplex moves one coordinate per vertex to 1.05
-    times its value, as scipy does, but a coordinate at 0 by 2.5% of the log
-    box: scipy would step it by 2.5e-4, and the first Sobol start sits at
-    log theta = 0 (theta = 1, the box centre) in every dimension.
+    over Sobol-spread multi-starts in log space (``_run_starts``); best
+    candidate by likelihood, then lexicographic theta, so the result does not
+    depend on where or in which order the starts ran.
     """
     data = _training_data(z, y, config)
     r = data.z.shape[1]
     lo, hi = config.theta_bounds
     log_lo, log_hi = math.log10(lo), math.log10(hi)
     starts = log_lo + (log_hi - log_lo) * sobol_points(config.restarts, r)
-    max_evals = config.nm_max_evals or (60 + 40 * r)
-    # bounded Nelder-Mead can ask again for a point it clipped to a bound
-    seen: dict[bytes, float] = {}
-
-    def neg_ll(log_theta: np.ndarray) -> float:
-        log_theta = np.asarray(log_theta, dtype=float)
-        key = log_theta.tobytes()
-        if key not in seen:
-            try:
-                ll = _profile_likelihood(data, 10.0 ** log_theta, config.nugget)[0]
-            except NumericalError:
-                ll = -math.inf
-            seen[key] = -ll if math.isfinite(ll) else math.inf
-        return seen[key]
-
-    candidates = []
-    for x0 in starts:
-        moved = np.where(x0 != 0.0, 1.05 * x0, _ZERO_STEP * (log_hi - log_lo))
-        simplex = np.vstack([x0, np.where(np.eye(r, dtype=bool), moved, x0)])
-        res = minimize(neg_ll, x0, method="Nelder-Mead",
-                       bounds=[(log_lo, log_hi)] * r,
-                       options={"maxfev": max_evals, "xatol": 1e-3, "fatol": 1e-4,
-                                "initial_simplex": simplex})
-        if math.isfinite(res.fun):
-            candidates.append((float(res.fun), tuple(10.0 ** np.asarray(res.x))))
+    search = _Search(data=data, nugget=config.nugget, log_lo=log_lo, log_hi=log_hi,
+                     max_evals=config.nm_max_evals or (60 + 40 * r))
+    records = tuple(_run_starts(search, starts))
+    candidates = [(-rec.ll, tuple(10.0 ** np.asarray(rec.log_theta)))
+                  for rec in records if math.isfinite(rec.ll)]
     if not candidates:
         raise NumericalError("likelihood was non-finite for every optimizer start")
     candidates.sort(key=lambda c: (c[0], c[1]))
@@ -374,4 +480,4 @@ def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> Hp
         msg = "length scale at optimization bound"
         warnings.warn(msg, RuntimeWarning)
         notes.append(msg)
-    return _assemble(data, best_theta, config, notes)
+    return _assemble(data, best_theta, config, notes, records)

@@ -11,7 +11,6 @@ surrogate Monte Carlo.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import warnings
 from collections import deque
@@ -23,6 +22,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import hpcfe as hp
+from . import parallel
 from .activesub import fd_cost, subspace_from_surrogate
 from .errors import DimensionError, NumericalError, ParameterError
 from .probspace import ProbabilisticModel, sobol_points, uniform_stream
@@ -124,14 +124,6 @@ def reliability_index(pf: float) -> float:
 MAX_POOL_WORKERS = 4
 
 
-def _pool_workers() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _failure_probability(g, n: int, seed: int, dim: int,
                          what: str) -> tuple[float, float]:
     """Monte Carlo failure probability of ``g`` and its coefficient of variation.
@@ -147,7 +139,7 @@ def _failure_probability(g, n: int, seed: int, dim: int,
     instead of counting as safe, naming the first such sample in stream
     order.  The CoV is sqrt((1 - pf) / (n pf)), infinite at pf = 0.
     """
-    workers = min(_pool_workers(), MAX_POOL_WORKERS)
+    workers = min(parallel.usable_cores(), MAX_POOL_WORKERS)
     pool = ThreadPoolExecutor(max_workers=workers)
     pending = deque()  # (rows, future) per chunk in flight, in chunk order
     failures = 0

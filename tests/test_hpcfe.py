@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from sasrel import hpcfe, polybasis
+from sasrel import hpcfe, parallel, polybasis
 from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import (
     HpcfeConfig,
@@ -170,7 +172,9 @@ def test_duplicated_points_escalate_nugget_and_note():
 
 def test_fit_evaluates_each_requested_theta_once(monkeypatch):
     # a linear response drives both length scales to the lower bound, where
-    # bounded Nelder-Mead asks again for points it clipped
+    # bounded Nelder-Mead asks again for points it clipped; one start, run in
+    # this process (one core), so the counters see every evaluation
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
     rng = np.random.default_rng(0)
     z = rng.uniform(-1, 1, size=(20, 2))
     y = z[:, 0] + 0.5 * z[:, 1] ** 2
@@ -200,10 +204,12 @@ def test_fit_evaluates_each_requested_theta_once(monkeypatch):
     monkeypatch.setattr(hpcfe, "_profile_likelihood", counted)
     monkeypatch.setattr(hpcfe, "correlation_matrix", counted_corr)
     with pytest.warns(RuntimeWarning, match="optimization bound"):
-        model = fit(z, y, small_config())
+        model = fit(z, y, small_config(restarts=1))
     assert model.fit_notes == ("length scale at optimization bound",)
     assert len(set(requested)) < len(requested)  # the optimizer did repeat itself
     assert len(evaluated) == len(set(requested)) + 1  # plus the final assembly
+    (start,) = model.starts
+    assert (start.nfev, start.evals) == (len(requested), len(set(requested)))
     distinct = {(10.0 ** np.frombuffer(x)).tobytes() for x in requested}
     assert set(evaluated[:-1]) == distinct
     assert evaluated[-1] == model.theta.tobytes()
@@ -217,6 +223,7 @@ def test_initial_simplex_steps_zero_coordinates_by_a_share_of_the_log_box(monkey
     y = z[:, 0] + 0.5 * z[:, 1] ** 2
     simplices = []
     minimize = hpcfe.minimize
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)  # starts run here
 
     def recording_minimize(fun, x0, **kwargs):
         simplices.append((np.array(x0), kwargs["options"]["initial_simplex"]))
@@ -224,8 +231,9 @@ def test_initial_simplex_steps_zero_coordinates_by_a_share_of_the_log_box(monkey
 
     monkeypatch.setattr(hpcfe, "minimize", recording_minimize)
     # log10 theta in [-3, 3]: the Sobol starts are (0, 0) and (1.5, -1.5)
-    fit(z, y, small_config(theta_bounds=(1e-3, 1e3), nm_max_evals=10))
+    model = fit(z, y, small_config(theta_bounds=(1e-3, 1e3), nm_max_evals=10))
     (zero, zero_simplex), (nonzero, nonzero_simplex) = simplices
+    assert [s.start_log_theta for s in model.starts] == [tuple(zero), tuple(nonzero)]
     assert zero.tolist() == [0.0, 0.0] and np.all(nonzero != 0.0)
     step = 0.025 * 6.0  # 2.5% of the 6-decade log box
     np.testing.assert_array_equal(zero_simplex, [[0.0, 0.0], [step, 0.0], [0.0, step]])
@@ -233,6 +241,112 @@ def test_initial_simplex_steps_zero_coordinates_by_a_share_of_the_log_box(monkey
     np.testing.assert_array_equal(
         nonzero_simplex, [nonzero, [1.05 * nonzero[0], nonzero[1]],
                           [nonzero[0], 1.05 * nonzero[1]]])
+
+
+@pytest.fixture
+def two_fit_workers(monkeypatch):
+    """Two cores with one BLAS thread each: ``fit`` forks two workers.
+
+    Returns the list of pids the fit's forks returned.
+    """
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def three_start_data():
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-1, 1, size=(30, 2))
+    return z, np.sin(2.0 * z[:, 0]) + z[:, 1] ** 2
+
+
+def test_pooled_fit_bitwise_equals_inline_fit(monkeypatch, two_fit_workers):
+    z, y = three_start_data()
+    cfg = small_config(restarts=3)
+    pooled = fit(z, y, cfg)
+    assert len(two_fit_workers) == 2
+    assert {s.pid for s in pooled.starts} <= set(two_fit_workers)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+    inline = fit(z, y, cfg)
+    assert len(two_fit_workers) == 2 and {s.pid for s in inline.starts} == {os.getpid()}
+    for name in ("theta", "alpha", "_w_resid"):
+        assert getattr(pooled, name).tobytes() == getattr(inline, name).tobytes()
+    assert (pooled.sigma2, pooled.nugget, pooled.fit_notes) == \
+        (inline.sigma2, inline.nugget, inline.fit_notes)
+    assert pooled.to_json() == inline.to_json()
+    probe = np.random.default_rng(5).uniform(-1.2, 1.2, size=(50, 2))
+    assert pooled.predict_mean(probe).tobytes() == inline.predict_mean(probe).tobytes()
+    assert [(s.start_log_theta, s.log_theta, s.ll, s.nfev) for s in pooled.starts] == \
+        [(s.start_log_theta, s.log_theta, s.ll, s.nfev) for s in inline.starts]
+
+
+def test_fit_leaves_no_child_process(monkeypatch, two_fit_workers):
+    z, y = three_start_data()
+    fit(z, y, small_config(restarts=3))
+    assert two_fit_workers and multiprocessing.active_children() == []
+
+    def failed(data, theta, nugget):
+        raise NumericalError("no factor")
+
+    monkeypatch.setattr(hpcfe, "_profile_likelihood", failed)
+    with pytest.raises(NumericalError, match="non-finite for every optimizer start"):
+        fit(z, y, small_config(restarts=3))
+    assert multiprocessing.active_children() == []
+
+    def broken(data, theta, nugget):
+        raise ZeroDivisionError("raised in a worker")
+
+    monkeypatch.setattr(hpcfe, "_profile_likelihood", broken)
+    with pytest.raises(ZeroDivisionError, match="raised in a worker"):
+        fit(z, y, small_config(restarts=3))
+    assert len(two_fit_workers) == 6 and multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores, blas, restarts", [
+    (1, "1", 3),  # one core
+    (2, None, 3),  # unpinned OpenBLAS runs a thread per core in each process
+    (2, "2", 3),
+    (4, "1", 1),  # one start
+])
+def test_one_fit_worker_forks_nothing(monkeypatch, cores, blas, restarts):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+
+    def refused():
+        raise AssertionError("fit forked a process")
+
+    monkeypatch.setattr(os, "fork", refused)
+    z, y = three_start_data()
+    model = fit(z, y, small_config(restarts=restarts))
+    assert len(model.starts) == restarts
+    assert {s.pid for s in model.starts} == {os.getpid()}
+
+
+def test_fit_workers_follow_cores_and_blas_threads(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 8)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert hpcfe._fit_workers(8) == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP_NUM_THREADS
+    assert (hpcfe._fit_workers(8), hpcfe._fit_workers(3)) == (8, 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "16")
+    assert hpcfe._fit_workers(8) == 1
+    for unset in ("0", "x"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", unset)
+        assert hpcfe._fit_workers(8) == 4
 
 
 def test_singular_correlation_exhausts_nugget_retries():

@@ -86,6 +86,20 @@ def test_transform_roundtrip_all_kinds():
         model.to_physical(np.full((1, model.dim), 1.5))
 
 
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("level", [-1e-12, 1.0 + 1e-12, -math.inf])
+def test_to_physical_checks_the_levels_of_every_column(column, level):
+    model = make_model()
+    u = np.full((5, model.dim), 0.5)
+    u[3, column] = level
+    with pytest.raises(DomainError):
+        model.to_physical(u)
+    u[3, column] = math.nan  # passes the check, as in ppf
+    x = model.to_physical(u)
+    assert math.isnan(x[3, column])
+    assert math.isnan(model.marginals[column].ppf(math.nan))
+
+
 def test_transform_with_truncation():
     model = ProbabilisticModel((
         Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0)),

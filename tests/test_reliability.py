@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from sasrel import probspace, reliability
+from sasrel import parallel, probspace, reliability
 from sasrel.cli import RESULT_COLUMNS, _fmt
 from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import HpcfeConfig, HpcfeModel
@@ -137,7 +137,7 @@ def test_pool_size_does_not_change_estimates_or_scatter(monkeypatch, small_chunk
     threads = threading.active_count()
     outcomes = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(reliability, "_pool_workers", lambda w=workers: w)
+        monkeypatch.setattr(parallel, "usable_cores", lambda w=workers: w)
         mcs = mcs_probability(additive_plane_state(), model, n=10_500, seed=3)
         spce = spce_only_pipeline(training, cfg)
         sas, art = sas_hpcfe_pipeline(training, cfg)
@@ -175,7 +175,7 @@ def test_pooled_nonfinite_names_first_sample_in_stream_order(monkeypatch, small_
 
     threads = threading.active_count()
     for workers in (1, 3):
-        monkeypatch.setattr(reliability, "_pool_workers", lambda w=workers: w)
+        monkeypatch.setattr(parallel, "usable_cores", lambda w=workers: w)
         with pytest.raises(NumericalError, match="sample 2017$"):
             mcs_probability(LimitState("bad", 1, g), model, n=5000, seed=0)
         assert threading.active_count() == threads
@@ -185,7 +185,7 @@ def test_pooled_nonfinite_names_first_sample_in_stream_order(monkeypatch, small_
 def test_pool_draws_at_most_one_chunk_beyond_its_threads(monkeypatch, cores, workers):
     # on many cores the pool, and with it the chunks in flight, stops at the cap
     n_chunks = 2 * reliability.MAX_POOL_WORKERS + 2
-    monkeypatch.setattr(reliability, "_pool_workers", lambda: cores)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
     drawn = []
     released = [threading.Event() for _ in range(n_chunks)]
 
@@ -265,7 +265,7 @@ def test_pipeline_audits_model_eval_budget(monkeypatch, small_chunks):
     assert calls["n"] == 48
     assert res.n_model_evals == 48
     # direct Monte Carlo on a pool counts every row of every chunk
-    monkeypatch.setattr(reliability, "_pool_workers", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 3)
     counted = CountingLimitState(LimitState("plane6", 6, g))
     mcs_probability(counted, model, n=2500, seed=1)
     assert counted.n_evals == calls["n"] - 48 == 2500
