@@ -18,10 +18,6 @@ from ..errors import DomainError
 from ..probspace import Marginal, ProbabilisticModel
 from ..reliability import LimitState
 
-# variable layout: A, B, C, D, L1..L6, L, P1..P6, Ea, Ew, S
-VARIABLE_NAMES = ("A", "B", "C", "D", "L1", "L2", "L3", "L4", "L5", "L6",
-                  "L", "P1", "P2", "P3", "P4", "P5", "P6", "Ea", "Ew", "S")
-
 # (name, mean, sd, kind, truncation interval)
 _TABLE = (
     ("A", 100.0, 0.2, "normal", (99.4, 100.6)),

@@ -24,9 +24,6 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 
 ALLOWABLE_DISPLACEMENT = 0.4
 
-# variable layout: P1..P7, E, A1..A25
-N_TRUSS_VARS = 33
-
 
 @dataclass(frozen=True)
 class TrussGeometry:

@@ -2,22 +2,21 @@
 
 The candidate set is the full total-degree Legendre basis in standardized
 coordinates.  LAR builds a forward path of regressors ordered by correlation
-with the running residual; one incremental QR refits every path model by
-ordinary least squares and scores it by a corrected leave-one-out error, and
-the best-scoring model is returned from the same refit.  The fit is fully
-deterministic.
+with the running residual.  One incremental QR of the joined columns gives
+both the path's equiangular directions and the ordinary least-squares refit
+of every path model, scored by a corrected leave-one-out error; no Gram
+factor is kept beside it.  The best-scoring model is returned from the same
+refit.  The fit is fully deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DimensionError, ParameterError
 from .polybasis import (
@@ -59,6 +58,7 @@ class _IncrementalOls:
         n = y.shape[0]
         self.y = y
         self.k = 0  # columns added besides the constant
+        self.max_cols = max_cols
         self.q = np.empty((n, max_cols + 1))
         self.q[:, 0] = 1.0 / math.sqrt(n)
         self.r_inv = np.zeros((max_cols + 1, max_cols + 1))
@@ -105,63 +105,49 @@ class _IncrementalOls:
         return float(np.sum(e**2)) / self.sum_sq * (n / (n - p)) * (1.0 + self.trace_inv)
 
 
-def lar_path(X: np.ndarray, y: np.ndarray,
-             max_steps: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+def lar_path(X: np.ndarray, norms: np.ndarray, raw: np.ndarray,
+             ols: _IncrementalOls) -> Iterator[tuple[int, np.ndarray]]:
     """Least-angle regression path over centered unit-norm columns.
+
+    ``X[:, j]`` is ``raw[:, j]`` centered and divided by ``norms[j]``, and
+    ``ols`` fits the response on the constant alone.  Each joining column is
+    appended raw to ``ols``; the columns it rejects as dependent are skipped.
+    With the joined centered columns ``X_A = Q_1 R_1 D^-1`` (``Q_1``, ``R_1``
+    the QR blocks past the constant, ``D`` their norms), the equiangular
+    direction is ``u = Q_1 v / |v|`` with ``v = R_1^-T D s``, ``s`` the signs
+    of the active correlations.  The path ends when ``ols`` holds the columns
+    it was sized for or no candidate correlates with the residual.
 
     Yields ``(column, residual)`` once per joined regressor, where ``residual``
     is the running LAR residual after the equiangular step.  Each step binds a
     new residual array and never writes into one already yielded, so callers
     may keep them without copying.  At each yielded state the active columns
-    share the maximal absolute correlation with the residual.  Collinear
-    candidates are skipped.  Ties in the correlation maximum resolve to the
-    lowest column index.
+    share the maximal absolute correlation with the residual.  Ties in the
+    correlation maximum resolve to the lowest column index.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, n_cols = X.shape
-    if max_steps is None:
-        max_steps = min(n_cols, n - 1)
-    resid = y.copy()
-    scale = max(1.0, float(np.linalg.norm(y)))
+    resid = ols.resid
+    scale = max(1.0, float(np.linalg.norm(resid)))
     active: list[int] = []
-    excluded = np.zeros(n_cols, dtype=bool)
-    chol = np.zeros((0, 0))
+    excluded = np.zeros(X.shape[1], dtype=bool)
 
-    while len(active) < max_steps and not excluded.all():
+    while ols.k < ols.max_cols and not excluded.all():
         c = X.T @ resid
         cmag = np.abs(c)
         cmag[excluded] = -1.0
         j = int(np.argmax(cmag))
         if cmag[j] <= 1e-12 * scale:
             break
-        # grow the Cholesky factor of the active Gram matrix
-        if active:
-            g = X[:, active].T @ X[:, j]
-            a_vec = solve_triangular(chol, g, lower=True)
-            d2 = 1.0 - float(a_vec @ a_vec)
-            if d2 <= _COLLINEAR_TOL:
-                excluded[j] = True
-                continue
-            k = len(active)
-            new = np.zeros((k + 1, k + 1))
-            new[:k, :k] = chol
-            new[k, :k] = a_vec
-            new[k, k] = math.sqrt(d2)
-            chol = new
-        else:
-            chol = np.ones((1, 1))
-        active.append(j)
         excluded[j] = True
+        if not ols.add(raw[:, j]):
+            continue
+        active.append(j)
 
+        k = ols.k
         s = np.sign(c[active])
         big_c = float(np.max(np.abs(c[active])))
-        w0 = cho_solve((chol, True), s)
-        denom = float(s @ w0)
-        if denom <= 0.0:
-            break
-        aa = 1.0 / math.sqrt(denom)
-        u = X[:, active] @ (aa * w0)
+        v = ols.r_inv[1:k + 1, 1:k + 1].T @ (norms[active] * s)
+        aa = 1.0 / float(np.linalg.norm(v))
+        u = ols.q[:, 1:k + 1] @ (aa * v)
         corr_u = X.T @ u
 
         gamma = big_c / aa
@@ -252,8 +238,8 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     """Fit a sparse expansion on a standardized design of experiments.
 
     Runs the LAR path over the total-degree candidate basis (centered,
-    unit-norm regressors); one incremental OLS refit of the raw joined columns
-    scores every path model by its corrected leave-one-out error.  The
+    unit-norm regressors); the path's incremental OLS refit of the raw joined
+    columns scores every path model by its corrected leave-one-out error.  The
     sparsest model near the best score is replayed, in path order, through a
     fresh refit, which gives its coefficients and stored score; numerically
     zero terms are dropped by one more replay.
@@ -305,21 +291,18 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     if max_terms is not None:
         max_steps = min(max_steps, max_terms)
 
+    raw = phi[:, 1:]  # path columns index the candidates past the constant
+
     def refit(cols: list[int]) -> _IncrementalOls:
-        # path columns index phi[:, 1:]; shift past the constant column
         ols = _IncrementalOls(y, len(cols))
         for c in cols:
-            ols.add(phi[:, 1 + c])
+            ols.add(raw[:, c])
         return ols
 
     path = _IncrementalOls(y, max_steps)
     path_cols: list[int] = []
     scores = [path.loo()]
-    for col, _ in lar_path(X, y - y.mean(), max_steps=max_steps):
-        if not path.add(phi[:, 1 + col]):
-            warnings.warn("dropping linearly dependent regressor; path stopped",
-                          RuntimeWarning)
-            break
+    for col, _ in lar_path(X, norms, raw, path):
         path_cols.append(col)
         scores.append(path.loo())
         if scores[-1] <= _LOO_EXACT:

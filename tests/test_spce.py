@@ -1,9 +1,11 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 
 from sasrel import polybasis, spce
 from sasrel.errors import DimensionError, ParameterError
@@ -194,13 +196,106 @@ def test_lar_equicorrelation_along_path():
     y = X @ beta + 0.05 * rng.standard_normal(60)
     y -= y.mean()
     active = []
-    for col, resid in lar_path(X, y, max_steps=12):
+    # X is already centered and unit-norm, so it is its own raw design
+    for col, resid in lar_path(X, np.ones(25), X, _IncrementalOls(y, 12)):
         active.append(col)
         c = np.abs(X.T @ resid)
         c_active = c[active]
         assert np.ptp(c_active) <= 1e-8
         inactive = np.setdiff1d(np.arange(25), active)
         assert c[inactive].max() <= c_active.max() + 1e-8
+    assert len(active) == 12
+
+
+def cholesky_lar(X, y, max_steps):
+    """Textbook LAR (Efron et al. 2004) over centered unit-norm columns.
+
+    Grows a Cholesky factor of the active Gram matrix and skips a candidate
+    whose squared distance from the active span is at most 1e-12.
+    """
+    resid = y.copy()
+    scale = max(1.0, float(np.linalg.norm(y)))
+    active = []
+    excluded = np.zeros(X.shape[1], dtype=bool)
+    chol = np.ones((1, 1))
+    while len(active) < max_steps and not excluded.all():
+        c = X.T @ resid
+        cmag = np.abs(c)
+        cmag[excluded] = -1.0
+        j = int(np.argmax(cmag))
+        if cmag[j] <= 1e-12 * scale:
+            break
+        excluded[j] = True
+        if active:
+            a = solve_triangular(chol, X[:, active].T @ X[:, j], lower=True)
+            d2 = 1.0 - a @ a
+            if d2 <= 1e-12:
+                continue
+            k = len(active)
+            chol = np.block([[chol, np.zeros((k, 1))], [a[None, :], math.sqrt(d2)]])
+        active.append(j)
+        s = np.sign(c[active])
+        big_c = np.abs(c[active]).max()
+        w = cho_solve((chol, True), s)
+        aa = 1.0 / math.sqrt(s @ w)
+        u = X[:, active] @ (aa * w)
+        corr_u = X.T @ u
+        free = ~excluded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = np.concatenate([(big_c - c[free]) / (aa - corr_u[free]),
+                                   (big_c + c[free]) / (aa + corr_u[free])])
+        cand = cand[np.isfinite(cand) & (cand > 1e-12)]
+        gamma = min([big_c / aa, *cand])
+        resid = resid - gamma * u
+        yield j, resid
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_qr_lar_path_matches_cholesky_lar(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 50, 30
+    raw = rng.uniform(-1.0, 1.0, size=(n, m)) + rng.uniform(-2.0, 2.0, size=m)
+    raw[:, 9] = raw[:, 4]  # duplicates an earlier column
+    raw[:, 21] = 2.0 * raw[:, 3] - raw[:, 15] + 1.0  # dependent once centered
+    y = raw[:, [3, 4, 15, 20]] @ rng.uniform(1.0, 3.0, size=4)
+    y += 0.1 * rng.standard_normal(n)
+    norms = np.linalg.norm(raw - raw.mean(axis=0), axis=0)
+    X = (raw - raw.mean(axis=0)) / norms
+
+    path = list(lar_path(X, norms, raw, _IncrementalOls(y, m)))
+    oracle = list(cholesky_lar(X, y - y.mean(), m))
+    assert [col for col, _ in path] == [col for col, _ in oracle]
+    # both dependent candidates are skipped and every other column joins
+    assert sorted(col for col, _ in path) == sorted(set(range(m)) - {9, 21})
+    for (_, r_qr), (_, r_chol) in zip(path, oracle):
+        np.testing.assert_allclose(r_qr, r_chol, rtol=0.0, atol=1e-10)
+
+
+def test_fit_continues_past_dependent_candidates(monkeypatch):
+    # coordinate 1 copies coordinate 0: every candidate in x1 lies in the span
+    # of the candidates in x0, x2 and x3 alone (19 besides the constant)
+    xi = std_doe(80, 4)
+    xi[:, 1] = xi[:, 0]
+    y = np.sin(2.0 * xi[:, 0]) + xi[:, 2] * xi[:, 3] + 0.5 * xi[:, 2] ** 2
+    joined = []
+    path = spce.lar_path
+
+    def recorded(*args, **kwargs):
+        for col, resid in path(*args, **kwargs):
+            joined.append(col)
+            yield col, resid
+
+    monkeypatch.setattr(spce, "lar_path", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = fit_lar(xi, y, p_max=3)
+    basis = BasisSet(BasisSet.total_degree(4, 3).indices[1 + np.asarray(joined)])
+    design = eval_design_matrix(basis, xi)
+    assert len(joined) == 19
+    assert np.linalg.matrix_rank(np.column_stack([np.ones(80), design])) == 20
+    M = np.column_stack([np.ones(80), eval_design_matrix(model.basis, xi)])
+    assert model.n_active > 0
+    assert model.loo == pytest.approx(brute_force_loo(M, y), rel=1e-10)
 
 
 def test_exact_sparse_recovery_property():
