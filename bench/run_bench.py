@@ -31,7 +31,12 @@ study's peak RSS it records ``children_peak_rss_mb``, the largest peak RSS
 of a finished worker process (``RUSAGE_CHILDREN``), then the fitted length
 scales, the sparse expansion's active-term count and leave-one-out error,
 pf/beta/r per method, the surrogates' beta error against the reference, the
-BLAS thread setting and the numpy and scipy versions.  The record goes into
+BLAS thread setting, the numpy and scipy versions and whether the study
+imported ``scipy.stats`` (``scipy_stats_imported``).  Before the studies it
+times ``import sasrel.cli`` from ``--src`` in ``IMPORT_RUNS`` fresh
+interpreters and records their median as ``import_s`` (each run in
+``import_runs_s``); this is the start-up every ``sasrel`` command pays before
+it reads its config.  The record goes into
 the JSON file ``--out`` under ``runs[<label>]``; other labels already in the
 file are kept, so a parent and a change can share one file.
 """
@@ -43,6 +48,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -50,6 +56,15 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+IMPORT_RUNS = 5
+# Times the package import alone, after the interpreter has started.
+IMPORT_TIMER = """\
+import sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import sasrel.cli
+print(time.perf_counter() - start)
+"""
 
 
 def _timed(fn, seconds: dict, key: str):
@@ -118,6 +133,7 @@ def run_study(name: str, seed: int) -> dict:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "scipy_stats_imported": "scipy.stats" in sys.modules,
     }
 
 
@@ -150,6 +166,11 @@ def main(argv=None) -> int:
 
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import_runs = [
+        float(subprocess.run([sys.executable, "-c", IMPORT_TIMER, src], env=env,
+                             capture_output=True, text=True, check=True).stdout)
+        for _ in range(IMPORT_RUNS)]
+    print(f"import_s: {statistics.median(import_runs):.3f}", file=sys.stderr)
     studies = {}
     for name in args.studies:
         cmd = [sys.executable, __file__, "--child", "--src", src,
@@ -168,6 +189,8 @@ def main(argv=None) -> int:
             else os.cpu_count(),
             "python": platform.python_version(),
         },
+        "import_s": round(statistics.median(import_runs), 3),
+        "import_runs_s": [round(t, 3) for t in import_runs],
         "studies": studies,
     }
     if args.out is None:

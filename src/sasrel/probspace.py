@@ -13,15 +13,15 @@ distribution-free.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
+import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
-from scipy.stats import qmc
+import scipy
+from scipy.special import ndtr, ndtri
 
 from .errors import DimensionError, DomainError, ParameterError
 
@@ -29,6 +29,14 @@ from .errors import DimensionError, DomainError, ParameterError
 SAMPLE_CHUNK = 65536
 
 _SOBOL_MAX_DIM = 1000
+# Bits per Sobol coordinate, as in ``scipy.stats.qmc.Sobol``: the sequence has
+# 2**30 distinct points.
+_SOBOL_BITS = 30
+# The Joe & Kuo (2008) primitive polynomials and initial direction numbers
+# that scipy ships for ``qmc.Sobol``; locating the file imports no
+# ``scipy.stats``.
+_SOBOL_TABLE = os.path.join(
+    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
 
 
 def moment_match(kind: str, mean: float, sd: float) -> dict:
@@ -90,23 +98,31 @@ class Marginal:
             a, b = self.truncation
             if not a < b:
                 raise ParameterError(f"truncation interval must be ordered, got [{a}, {b}]")
-            dist = self._base_dist()
-            ua, ub = dist.cdf(a), dist.cdf(b)
+            ua, ub = self._base_cdf(a), self._base_cdf(b)
             if ub - ua <= 1e-12:
                 raise ParameterError(
                     f"truncation [{a}, {b}] retains no probability mass for {self.kind}"
                 )
             object.__setattr__(self, "_levels", (ua, ub))
 
-    def _base_dist(self):
+    def _base_cdf(self, x: float) -> float:
+        """Untruncated CDF at one point in physical units.
+
+        Each kind evaluates the closed form that the frozen ``scipy.stats``
+        distribution's ``cdf`` evaluates, in the same order, so the level is
+        bitwise scipy's; points outside the support give 0 or 1.
+        """
         if self.kind == "uniform":
-            return stats.uniform(loc=self.lo, scale=self.hi - self.lo)
+            return min(max((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
         p = moment_match(self.kind, self.mean, self.sd)
-        if self.kind == "normal":
-            return stats.norm(loc=p["loc"], scale=p["scale"])
         if self.kind == "lognormal":
-            return stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"]))
-        return stats.gumbel_r(loc=p["loc"], scale=p["scale"])
+            if x <= 0.0:
+                return 0.0
+            return float(ndtr(np.log(x / math.exp(p["mu"])) / p["sigma"]))
+        z = (x - p["loc"]) / p["scale"]
+        if self.kind == "normal":
+            return float(ndtr(z))
+        return float(np.exp(-np.exp(-z)))
 
     def support(self) -> tuple[float, float]:
         if self.truncation is not None:
@@ -116,20 +132,6 @@ class Marginal:
         if self.kind == "lognormal":
             return (0.0, math.inf)
         return (-math.inf, math.inf)
-
-    def cdf(self, x):
-        """CDF in physical units, renormalized over the truncation interval."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support()
-        if np.any(x < lo) or np.any(x > hi):
-            raise DomainError(
-                f"value outside support [{lo}, {hi}] of marginal {self.name or self.kind}"
-            )
-        u = self._base_dist().cdf(x)
-        if self._levels is not None:
-            ua, ub = self._levels
-            u = (u - ua) / (ub - ua)
-        return np.clip(u, 0.0, 1.0)
 
     def ppf(self, u):
         """Inverse CDF, renormalized over the truncation interval.
@@ -183,13 +185,49 @@ class ProbabilisticModel:
         return np.column_stack([m.ppf(u[:, i]) for i, m in enumerate(self.marginals)])
 
 
+@functools.cache
+def _sobol_directions() -> np.ndarray:
+    """Direction integers of the first ``_SOBOL_MAX_DIM`` Sobol dimensions.
+
+    Row ``j`` of the read-only ``(_SOBOL_BITS, _SOBOL_MAX_DIM)`` result holds
+    direction number ``j + 1`` of every dimension as a ``_SOBOL_BITS``-bit
+    integer.  Dimension ``d > 0`` starts from the Joe & Kuo initial numbers
+    of its primitive polynomial of degree ``m``; number ``j >= m`` follows
+    the recurrence of Bratley & Fox (1988), section 2, which scipy's
+    ``_initialize_v`` evaluates.  Dimension 0 is all ones.  The table is read
+    once per process.
+    """
+    with np.load(_SOBOL_TABLE) as table:
+        poly = table["poly"][:_SOBOL_MAX_DIM]
+        vinit = table["vinit"][:_SOBOL_MAX_DIM]
+    deg = np.frexp(poly)[1] - 1  # bit length - 1
+    max_deg = vinit.shape[1]
+    # coef[d, k]: bit m - 1 - k of dimension d's polynomial, 0 for k >= m
+    shift = deg[:, None] - 1 - np.arange(max_deg)
+    coef = np.where(shift >= 0, poly[:, None] >> np.maximum(shift, 0) & 1, 0)
+    v = np.zeros((_SOBOL_MAX_DIM, _SOBOL_BITS), dtype=np.int64)
+    v[:, :max_deg] = vinit
+    v[0] = 1
+    rows = np.arange(_SOBOL_MAX_DIM)
+    for j in range(1, _SOBOL_BITS):
+        k = np.arange(min(j, max_deg))
+        terms = coef[:, k] * (v[:, j - 1 - k] << (k + 1))
+        new = v[rows, np.maximum(j - deg, 0)] ^ np.bitwise_xor.reduce(terms, axis=1)
+        v[:, j] = np.where(deg <= j, new, v[:, j])
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
+    out = np.ascontiguousarray(v.T, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
 def sobol_points(n: int, dim: int, skip: int = 0) -> np.ndarray:
     """First ``n`` points of the ``dim``-dimensional Sobol sequence.
 
     The initial all-zeros point is always dropped (it maps to marginal infima
     under inverse-CDF transforms); ``skip`` discards that many further points,
     which is used to obtain fresh point sets disjoint from a training design.
-    Deterministic.
+    Deterministic: the points are bitwise those of unscrambled
+    ``scipy.stats.qmc.Sobol`` after ``fast_forward(1 + skip)``.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 Sobol points, got {n}")
@@ -197,12 +235,26 @@ def sobol_points(n: int, dim: int, skip: int = 0) -> np.ndarray:
         raise ParameterError(
             f"Sobol direction numbers are provided for 1 <= dim <= {_SOBOL_MAX_DIM}, got {dim}"
         )
-    sampler = qmc.Sobol(d=dim, scramble=False)
-    sampler.fast_forward(1 + skip)
-    with warnings.catch_warnings():
-        # n is rarely a power of two here; the balance warning is expected.
-        warnings.simplefilter("ignore", UserWarning)
-        return sampler.random(n)
+    if skip < 0:
+        raise ParameterError(f"Sobol skip must be >= 0, got {skip}")
+    first = 1 + skip
+    if first + n > 2**_SOBOL_BITS:
+        raise ParameterError(
+            f"the Sobol sequence has 2**{_SOBOL_BITS} points; points {first} "
+            f"to {first + n - 1} run past its end"
+        )
+    v = _sobol_directions()[:, :dim]
+    # Point k is the XOR of the direction rows that the bits of its Gray code
+    # k ^ (k >> 1) select; the codes of k and k + 1 differ in the lowest zero
+    # bit of k, (k + 1) & ~k, whose exponent frexp returns.
+    gray = first ^ (first >> 1)
+    steps = np.empty((n, dim), dtype=np.uint32)
+    steps[0] = np.bitwise_xor.reduce(
+        v[[b for b in range(_SOBOL_BITS) if gray >> b & 1]], axis=0)
+    k = np.arange(first, first + n - 1)
+    steps[1:] = v[np.frexp((k + 1) & ~k)[1] - 1]
+    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+    return steps * 2.0**-_SOBOL_BITS
 
 
 def uniform_stream(seed: int, n: int, dim: int) -> Iterator[np.ndarray]:

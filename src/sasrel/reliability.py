@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import hpcfe as hp
 from . import parallel
@@ -114,7 +114,7 @@ def reliability_index(pf: float) -> float:
         return math.inf
     if pf == 1.0:
         return -math.inf
-    return float(norm.isf(pf))
+    return float(-ndtri(pf) + 0.0)  # norm.isf(pf), bitwise; + 0.0 turns -0.0 into 0.0
 
 
 # Most Monte Carlo chunks evaluated at once, whatever the core count.  Each

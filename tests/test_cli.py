@@ -323,6 +323,14 @@ def test_setting_rejected_at_run_time_exits_2_and_keeps_partial_results(tmp_path
     assert [r["method"] for r in read_results(out)] == ["mcs"]
 
 
+def test_design_past_the_sobol_sequence_exits_2(tmp_path, capsys):
+    # the Sobol sequence has 2**30 points; the check comes before any allocation
+    cfg_path, out = write_config(tmp_path, {"methods": ["spce"], "n_train": 2**30})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "error: spce failed: the Sobol sequence has 2**30 points" in \
+        capsys.readouterr().err
+
+
 def test_surrogate_methods_share_one_training_fit(tmp_path, monkeypatch):
     counters = []
     resolve = cli._resolve_problem

@@ -1,8 +1,17 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.stats import qmc
 
+from sasrel.benchmarks import BENCHMARK_NAMES, get_benchmark
 from sasrel.errors import DimensionError, DomainError, ParameterError
 from sasrel.probspace import (
     SAMPLE_CHUNK,
@@ -12,6 +21,31 @@ from sasrel.probspace import (
     sobol_points,
     uniform_stream,
 )
+
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def scipy_dist(m):
+    """The frozen ``scipy.stats`` distribution of ``m`` before truncation."""
+    if m.kind == "uniform":
+        return stats.uniform(loc=m.lo, scale=m.hi - m.lo)
+    p = moment_match(m.kind, m.mean, m.sd)
+    if m.kind == "normal":
+        return stats.norm(loc=p["loc"], scale=p["scale"])
+    if m.kind == "lognormal":
+        return stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"]))
+    return stats.gumbel_r(loc=p["loc"], scale=p["scale"])
+
+
+def scipy_cdf(m, x):
+    """Reference CDF of ``m`` in physical units, renormalized over its truncation."""
+    dist = scipy_dist(m)
+    u = dist.cdf(x)
+    if m.truncation is not None:
+        ua, ub = dist.cdf(m.truncation[0]), dist.cdf(m.truncation[1])
+        u = (u - ua) / (ub - ua)
+    return u
 
 
 def make_model():
@@ -24,8 +58,6 @@ def make_model():
 
 
 def test_moment_match_lognormal_roundtrip():
-    from scipy import stats
-
     p = moment_match("lognormal", 30.0, 7.5)
     d = stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"]))
     assert d.mean() == pytest.approx(30.0, rel=1e-12)
@@ -33,8 +65,6 @@ def test_moment_match_lognormal_roundtrip():
 
 
 def test_moment_match_gumbel_roundtrip():
-    from scipy import stats
-
     p = moment_match("gumbel", 10.0, 2.0)
     d = stats.gumbel_r(loc=p["loc"], scale=p["scale"])
     assert d.mean() == pytest.approx(10.0, rel=1e-12)
@@ -54,12 +84,11 @@ def test_moment_match_rejects_bad_parameters():
 
 def test_truncated_cdf_renormalization():
     m = Marginal(kind="normal", mean=0.0, sd=1.0, truncation=(-1.0, 2.0))
-    assert m.cdf(-1.0) == pytest.approx(0.0, abs=1e-15)
-    assert m.cdf(2.0) == pytest.approx(1.0, abs=1e-15)
+    assert m.support() == (-1.0, 2.0)
     assert m.ppf(0.0) == pytest.approx(-1.0, abs=1e-12)
     assert m.ppf(1.0) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        m.cdf(2.5)
+    u = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_allclose(scipy_cdf(m, m.ppf(u)), u, atol=1e-12)
 
 
 def test_truncation_validation():
@@ -77,7 +106,7 @@ def test_transform_roundtrip_all_kinds():
     assert x.shape == u.shape
     for i, m in enumerate(model.marginals):
         np.testing.assert_array_equal(x[:, i], m.ppf(u[:, i]))
-        np.testing.assert_allclose(m.cdf(x[:, i]), u[:, i], atol=1e-9)
+        np.testing.assert_allclose(scipy_cdf(m, x[:, i]), u[:, i], atol=1e-9)
     with pytest.raises(DimensionError):
         model.to_physical(u[:, :3])
     with pytest.raises(DimensionError):
@@ -108,15 +137,16 @@ def test_transform_with_truncation():
     x = model.to_physical(u)
     assert x.min() >= 5.0
     assert x.max() <= 19.0
-    np.testing.assert_allclose(model.marginals[0].cdf(x[:, 0]), u[:, 0], atol=1e-10)
+    np.testing.assert_allclose(scipy_cdf(model.marginals[0], x[:, 0]), u[:, 0],
+                               atol=1e-10)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.2, 7.1), (2.0, 2.5)])
 def test_uniform_ppf_bitwise_equals_scipy(lo, hi):
     m = Marginal(kind="uniform", lo=lo, hi=hi)
     u = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(3).random(1000)])
-    assert m.ppf(u).tobytes() == m._base_dist().ppf(u).tobytes()
-    assert m.ppf(0.5) == m._base_dist().ppf(0.5)
+    assert m.ppf(u).tobytes() == scipy_dist(m).ppf(u).tobytes()
+    assert m.ppf(0.5) == scipy_dist(m).ppf(0.5)
     with pytest.raises(DomainError):
         m.ppf(np.array([0.5, 1.5]))
 
@@ -132,7 +162,7 @@ def test_uniform_ppf_bitwise_equals_scipy(lo, hi):
 ], ids=lambda m: m.kind + ("-truncated" if m.truncation else ""))
 def test_closed_form_ppf_bitwise_equals_scipy(marginal):
     u = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(3).random(1000)])
-    dist = marginal._base_dist()
+    dist = scipy_dist(marginal)
     levels = u
     if marginal.truncation is not None:
         ua, ub = dist.cdf(marginal.truncation[0]), dist.cdf(marginal.truncation[1])
@@ -143,16 +173,56 @@ def test_closed_form_ppf_bitwise_equals_scipy(marginal):
         marginal.ppf(np.array([0.5, 1.5]))
 
 
-def test_ppf_builds_no_scipy_distribution(monkeypatch):
-    m = Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0))
-    expected = m.ppf(np.linspace(0.0, 1.0, 11))
-    assert m == Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(5.0, 19.0))
+def registry_truncations():
+    """Every truncated marginal of the registry studies, plus edge cases:
+    infinite bounds, a lognormal bound at or below 0, uniform bounds past
+    the support's ends."""
+    cases = [m for name in BENCHMARK_NAMES
+             for m in get_benchmark(name, truncated=True).model.marginals
+             if m.truncation is not None]
+    cases += [
+        Marginal(kind="normal", mean=2.0, sd=0.5, truncation=(-math.inf, 2.9)),
+        Marginal(kind="normal", mean=2.0, sd=0.5, truncation=(1.0, math.inf)),
+        Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(-math.inf, math.inf)),
+        Marginal(kind="gumbel", mean=10.0, sd=2.0, truncation=(-math.inf, 19.0)),
+        Marginal(kind="lognormal", mean=30.0, sd=7.5, truncation=(-1.0, 40.0)),
+        Marginal(kind="lognormal", mean=30.0, sd=7.5, truncation=(0.0, math.inf)),
+        Marginal(kind="uniform", lo=-3.2, hi=7.1, truncation=(-5.0, 8.0)),
+        Marginal(kind="uniform", lo=-3.2, hi=7.1, truncation=(-math.inf, 0.3)),
+    ]
+    return cases
 
-    def refused(self):
-        raise AssertionError("ppf built a scipy distribution")
 
-    monkeypatch.setattr(Marginal, "_base_dist", refused)
-    assert m.ppf(np.linspace(0.0, 1.0, 11)).tobytes() == expected.tobytes()
+def test_truncation_levels_bitwise_equal_scipy():
+    for m in registry_truncations():
+        dist = scipy_dist(m)
+        expected = [dist.cdf(bound) for bound in m.truncation]
+        assert np.array(m._levels).tobytes() == np.array(expected).tobytes(), m
+
+
+def test_study_imports_no_scipy_stats(tmp_path):
+    # A whole study in a fresh interpreter: the package draws its Sobol
+    # points, truncation levels and beta without importing scipy.stats.
+    config = {"benchmark": "sobol-m10", "methods": ["mcs", "spce", "sas-hpcfe"],
+              "n_mcs": 2000, "n_mcs_surrogate": 2000, "hpcfe": {"restarts": 1}}
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(config))
+    script = (
+        "import sys\n"
+        "from sasrel.cli import main\n"
+        f"code = main(['run', '--config', {str(cfg_path)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--seed', '5'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.stats' not in sys.modules, sorted(\n"
+        "    m for m in sys.modules if m.startswith('scipy.stats'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "results.csv").is_file()
 
 
 def test_sobol_first_points_frozen():
@@ -163,6 +233,32 @@ def test_sobol_first_points_frozen():
         [[0.5, 0.5, 0.5], [0.75, 0.25, 0.25], [0.25, 0.75, 0.75]])
     np.testing.assert_allclose(
         sobol_points(2, 1, skip=2).ravel(), [0.25, 0.375])
+
+
+def scipy_sobol(n, dim, skip):
+    sampler = qmc.Sobol(d=dim, scramble=False)
+    sampler.fast_forward(1 + skip)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # n not a power of two
+        return sampler.random(n)
+
+
+@pytest.mark.parametrize("skip", [0, 2, 1100])
+@pytest.mark.parametrize("dim", [1, 2, 3, 20, 100, 1000])
+def test_sobol_points_bitwise_equal_scipy(dim, skip):
+    for n in (1, 2, 7, 4097):
+        assert sobol_points(n, dim, skip).tobytes() == scipy_sobol(n, dim, skip).tobytes()
+
+
+def test_sobol_points_end_of_sequence():
+    # In one dimension point k is the bit reversal of its Gray code over 2**30.
+    last = sobol_points(2, 1, skip=2**30 - 3).ravel()
+    np.testing.assert_array_equal(last, [0.5 + 2.0**-30, 2.0**-30])
+    for n, skip in ((2, 2**30 - 2), (2, 2**30), (2**30, 0)):
+        with pytest.raises(ParameterError):
+            sobol_points(n, 1, skip=skip)
+    with pytest.raises(ParameterError):
+        sobol_points(2, 1, skip=-1)
 
 
 def test_sobol_points_open_interval_and_deterministic():

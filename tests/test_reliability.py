@@ -51,6 +51,14 @@ def test_reliability_index_round_trip():
         assert abs(norm.sf(beta) - pf) <= 1e-12 * max(pf, 1e-12) + 1e-16
 
 
+def test_reliability_index_bitwise_equals_norm_isf():
+    grid = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1],
+                           [0.5, 1e-300, 5e-324, 1e-10, 1.0 - 1e-16]])
+    beta = np.array([reliability_index(float(pf)) for pf in grid])
+    assert beta.tobytes() == norm.isf(grid).tobytes()
+    assert math.copysign(1.0, reliability_index(0.5)) == 1.0  # 0.0, not -0.0
+
+
 def test_result_validation_and_csv():
     res = ReliabilityResult(method="mcs", pf=0.1, n_model_evals=1000,
                             cov_pf=0.09486, seed=7)
