@@ -4,11 +4,14 @@
     python3 bench/run_bench.py --src ../other-checkout/src --label parent \\
         --out BENCH_9.json sobol-m10 beam
 
-Each study runs at its registry settings in a fresh child interpreter, so
-that peak RSS (``ru_maxrss``) belongs to that study alone, with OpenBLAS
-pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is already set.  The
-child imports ``sasrel`` from ``--src`` (default: this checkout's ``src``),
-calls the pipeline stages directly, as ``sasrel run`` does, and times them:
+Each study runs ``RUNS`` times at its registry settings, each time in a fresh
+child interpreter, so that peak RSS (``ru_maxrss``) belongs to that run
+alone, with OpenBLAS pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is
+already set.  The study's record holds the median over its runs of every
+stage time, of peak RSS and of the minor page faults (``ru_minflt``), and
+every run's own record under ``runs``.  The child imports ``sasrel`` from
+``--src`` (default: this checkout's ``src``), calls the pipeline stages
+directly, as ``sasrel run`` does, and times them:
 
 - ``ref_mcs_s``: the reference Monte Carlo on the true model
 - ``doe_lar_s``: the Sobol training design and the LAR fit
@@ -16,6 +19,11 @@ calls the pipeline stages directly, as ``sasrel run`` does, and times them:
 - ``subspace_s``: the active subspace from the expansion's gradients
 - ``hpcfe_fit_s``: the HPCFE fit (length-scale search and final assembly)
 - ``hpcfe_predict_s``: the Monte Carlo on the HPCFE surrogate (wall time)
+
+A run also records the minor page faults of the whole child (``minflt``,
+import included) and of each of its four top-level stages (``stage_minflt``:
+``ref_mcs``, ``doe_lar``, ``spce_mcs`` and ``sas``, the last with the HPCFE
+fit and Monte Carlo).
 
 It also records each optimizer start as the fitted model records it
 (``HpcfeModel.starts``: start and end log10 theta, final log-likelihood, the
@@ -57,6 +65,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORT_RUNS = 5
+RUNS = 3
 # Times the package import alone, after the interpreter has started.
 IMPORT_TIMER = """\
 import sys, time
@@ -93,10 +102,14 @@ def run_study(name: str, seed: int) -> dict:
     reliability.subspace_from_surrogate = _timed(
         reliability.subspace_from_surrogate, seconds, "subspace_s")
 
+    minflt = {}
+
     def stage(key, fn, *args):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         out = fn(*args)
         seconds[key] = time.perf_counter() - start
+        minflt[key[:-2]] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         return out
 
     ref = stage("ref_mcs_s", reliability.mcs_probability, bench.limit_state,
@@ -125,6 +138,8 @@ def run_study(name: str, seed: int) -> dict:
                  "loo": training.spce_model.loo},
         "nugget": model.nugget,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
+        "stage_minflt": minflt,
         "children_peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
         "results": {res.method: {"pf": res.pf, "beta": res.beta, "r": res.r}
@@ -175,11 +190,20 @@ def main(argv=None) -> int:
     for name in args.studies:
         cmd = [sys.executable, __file__, "--child", "--src", src,
                "--seed", str(args.seed), name]
-        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            sys.stderr.write(done.stderr)
-            return done.returncode
-        studies[name] = json.loads(done.stdout.splitlines()[-1])
+        runs = []
+        for _ in range(RUNS):
+            done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                sys.stderr.write(done.stderr)
+                return done.returncode
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        studies[name] = {
+            "stage_s": {key: round(statistics.median(r["stage_s"][key] for r in runs), 3)
+                        for key in runs[0]["stage_s"]},
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "minflt": statistics.median(r["minflt"] for r in runs),
+            "runs": runs,
+        }
         print(f"{name}: {json.dumps(studies[name]['stage_s'])}", file=sys.stderr)
 
     record = {

@@ -184,8 +184,9 @@ def eval_design_matrix(basis: BasisSet, points: np.ndarray,
     return out.T.copy()
 
 
-# Row blocks are a whole multiple of this, so every row meets the same BLAS
-# kernel path (OpenBLAS gemv takes rows in groups) as in one unblocked call.
+# Fewest rows in a row block.  Blocks are powers of two, so whole multiples of
+# this: every row meets the same BLAS kernel path (OpenBLAS gemv takes rows in
+# groups) as in one unblocked call.
 BLOCK_ROW_ALIGN = 64
 
 # Byte budget of one prediction block (a rows x terms design or a rows x
@@ -197,11 +198,16 @@ BLOCK_BYTES = 8 * 2**20
 def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Slices cutting ``n_rows`` rows of ``row_bytes`` each into blocks.
 
-    A block holds the most whole multiples of ``BLOCK_ROW_ALIGN`` rows that
-    fit ``BLOCK_BYTES``, and at least one multiple.
+    A block holds the largest power of two of rows that fits ``BLOCK_BYTES``,
+    and at least ``BLOCK_ROW_ALIGN``.  Matrix products are not bitwise
+    row-independent: OpenBLAS gemm computes the last rows of a call in a
+    narrower kernel.  Power-of-two blocks no larger than a Monte Carlo sample
+    block cut it at the same rows as they cut the whole chunk it belongs to,
+    so a prediction on the block runs the same BLAS calls as on the chunk.
     """
-    fit_rows = BLOCK_BYTES // row_bytes
-    step = max(BLOCK_ROW_ALIGN, fit_rows - fit_rows % BLOCK_ROW_ALIGN)
+    step = BLOCK_ROW_ALIGN
+    while 2 * step * row_bytes <= BLOCK_BYTES:
+        step *= 2
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 

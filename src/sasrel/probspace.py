@@ -25,8 +25,15 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DimensionError, DomainError, ParameterError
 
-# Rows per chunk of ``uniform_stream``, the package's Monte Carlo sampler.
+# Rows per chunk of ``uniform_stream``, the package's Monte Carlo sampler: each
+# chunk is one spawned substream, so this fixes the samples of a seed.
 SAMPLE_CHUNK = 65536
+# Most rows per array that ``uniform_stream`` yields, the Monte Carlo pool's
+# unit of work.  A power of two dividing ``SAMPLE_CHUNK``: the surrogates'
+# prediction blocks (``polybasis.row_blocks``) are powers of two too, so a
+# surrogate whose blocks are at most this many rows predicts every row of a
+# sample block bitwise as in one chunk-sized call.
+SAMPLE_BLOCK = 8192
 
 _SOBOL_MAX_DIM = 1000
 # Bits per Sobol coordinate, as in ``scipy.stats.qmc.Sobol``: the sequence has
@@ -258,17 +265,20 @@ def sobol_points(n: int, dim: int, skip: int = 0) -> np.ndarray:
 
 
 def uniform_stream(seed: int, n: int, dim: int) -> Iterator[np.ndarray]:
-    """Seeded pseudo-random U(0,1) samples in fixed-size chunks.
+    """Seeded pseudo-random U(0,1) samples in blocks of at most ``SAMPLE_BLOCK`` rows.
 
-    Each chunk is drawn from its own spawned substream, so chunks may be
-    consumed (or evaluated) independently while the overall sample set stays
-    a pure function of ``seed``.
+    Each ``SAMPLE_CHUNK`` rows are drawn from their own spawned substream, so
+    the overall sample set is a pure function of ``seed``.  A chunk is yielded
+    as consecutive blocks drawn in order from its generator, which fills in C
+    order, so the blocks of a chunk concatenate bitwise to one draw of the
+    whole chunk.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 samples, got {n}")
     n_chunks = (n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
         rows = min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK)
-        yield np.random.default_rng(child).random((rows, dim))
-
+        for start in range(0, rows, SAMPLE_BLOCK):
+            yield rng.random((min(SAMPLE_BLOCK, rows - start), dim))

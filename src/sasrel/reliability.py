@@ -60,7 +60,7 @@ class CountingLimitState:
     def __init__(self, inner: LimitState):
         self.inner = inner
         self.n_evals = 0
-        self._lock = threading.Lock()  # Monte Carlo chunks evaluate concurrently
+        self._lock = threading.Lock()  # Monte Carlo blocks evaluate concurrently
 
     @property
     def name(self) -> str:
@@ -117,10 +117,11 @@ def reliability_index(pf: float) -> float:
     return float(-ndtri(pf) + 0.0)  # norm.isf(pf), bitwise; + 0.0 turns -0.0 into 0.0
 
 
-# Most Monte Carlo chunks evaluated at once, whatever the core count.  Each
-# chunk under evaluation holds its sample block, its transformed copy and the
-# surrogate's work arrays (about 120 MB per chunk on the beam study), so this
-# cap bounds the pool's memory on many-core hosts.
+# Most Monte Carlo blocks evaluated at once, whatever the core count.  Each
+# block under evaluation holds its samples, their transformed copy and the
+# surrogate's work arrays (tracemalloc: at most about 16 MB per block on the
+# beam study, 38 MB on the 100-dimensional g-function), so this cap bounds the
+# pool's memory on many-core hosts.
 MAX_POOL_WORKERS = 4
 
 
@@ -128,20 +129,21 @@ def _failure_probability(g, n: int, seed: int, dim: int,
                          what: str) -> tuple[float, float]:
     """Monte Carlo failure probability of ``g`` and its coefficient of variation.
 
-    The ``n`` U(0,1) samples stream from ``uniform_stream(seed, n, dim)``, and
-    ``g(u)`` maps one chunk of them to its limit-state values.  Chunks are
-    evaluated on a pool of one thread per core, at most ``MAX_POOL_WORKERS``,
-    with at most one chunk more than the pool in flight, so memory grows with
-    neither the sample size nor the core count; ``g`` must be safe to call
-    from several threads at once.  Results are collected in chunk order on
-    the calling thread and the failure count is an integer sum, so the
-    estimate does not depend on the pool size.  A non-finite value raises
-    instead of counting as safe, naming the first such sample in stream
-    order.  The CoV is sqrt((1 - pf) / (n pf)), infinite at pf = 0.
+    The ``n`` U(0,1) samples stream from ``uniform_stream(seed, n, dim)`` in
+    blocks of at most ``probspace.SAMPLE_BLOCK`` rows, and ``g(u)`` maps one
+    block to its limit-state values.  Blocks are evaluated on a pool of one
+    thread per core, at most ``MAX_POOL_WORKERS``, with at most one block more
+    than the pool in flight, so memory grows with neither the sample size nor
+    the core count; ``g`` must be safe to call from several threads at once.
+    Results are collected in stream order on the calling thread and the
+    failure count is an integer sum, so the estimate does not depend on the
+    pool size.  A non-finite value raises instead of counting as safe, naming
+    the first such sample in stream order.  The CoV is
+    sqrt((1 - pf) / (n pf)), infinite at pf = 0.
     """
     workers = min(parallel.usable_cores(), MAX_POOL_WORKERS)
     pool = ThreadPoolExecutor(max_workers=workers)
-    pending = deque()  # (rows, future) per chunk in flight, in chunk order
+    pending = deque()  # (rows, future) per block in flight, in stream order
     failures = 0
     done = 0
 
@@ -290,9 +292,9 @@ def sas_hpcfe_pipeline(training: Training,
         n_surrogate_evals=config.n_mcs + subspace.n_grad_samples, cov_pf=cov_pf,
         r=subspace.r, seed=config.seed)
     # the head of the same seeded stream, predicted once more for the plot
-    z = subspace.project(
-        2.0 * next(uniform_stream(config.seed, min(config.n_mcs, SCATTER_ROWS),
-                                  model.dim)) - 1.0)
+    head = np.vstack(list(uniform_stream(config.seed, min(config.n_mcs, SCATTER_ROWS),
+                                         model.dim)))
+    z = subspace.project(2.0 * head - 1.0)
     scatter = np.column_stack([z, (reduced.predict_mean(z) < 0.0).astype(float)])
     artifacts = PipelineArtifacts(
         subspace=subspace, hpcfe_model=reduced,

@@ -19,6 +19,8 @@ from sasrel.hpcfe import (
     homotopy_solve,
 )
 from sasrel.polybasis import BasisSet, eval_design_matrix
+from sasrel.probspace import SAMPLE_BLOCK, SAMPLE_CHUNK
+from sasrel.spce import SparsePceModel
 
 
 def small_config(**kw):
@@ -631,7 +633,7 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
         return kernel_cross(z_new, z_train, theta)
 
     monkeypatch.setattr(hpcfe, "_kernel_cross", counted)
-    # 200 rows of 25 kernel entries fit the budget; blocks round down to 192 rows
+    # 200 rows of 25 kernel entries fit the budget; blocks round down to 128 = 2**7 rows
     monkeypatch.setattr(polybasis, "BLOCK_BYTES", 8 * 25 * 200)
     for p, (mean, var) in zip(cases, one_block):
         assert model.predict_mean(p).tobytes() == mean.tobytes()
@@ -639,7 +641,30 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
     assert [mean.shape for mean, _ in one_block] == [(1000,), (0,), (1,), (1,)]
     block_rows.clear()
     model.predict_mean(probe)
-    assert block_rows == [192] * 5 + [40]
+    assert block_rows == [128] * 7 + [104]
+
+
+def test_surrogates_predict_a_chunk_bitwise_as_its_sample_blocks():
+    # the Monte Carlo pool evaluates a chunk of the sample stream as blocks of
+    # SAMPLE_BLOCK rows; the estimates stay the chunk-at-once ones only if
+    # every row is predicted bitwise as in one call on the whole chunk
+    rng = np.random.default_rng(12)
+    dim = 4
+    idx = np.array(list(itertools.product(range(5), repeat=dim)))
+    idx = idx[(idx.sum(axis=1) > 0) & (idx.sum(axis=1) <= 4)]
+    pce = SparsePceModel(dim=dim, p_max=4, indices=idx,
+                         coefficients=rng.standard_normal(len(idx)), intercept=0.3,
+                         loo=0.0)
+    z = rng.uniform(-1, 1, size=(300, 2))
+    gp = fit(z, np.tanh(z[:, 0]) + 0.3 * z[:, 1] ** 2, small_config())
+    chunk = rng.uniform(-1, 1, size=(SAMPLE_CHUNK, dim))
+    # the GP's gemm cross-kernel, whose last rows per call round differently,
+    # is cut into several calls per sample block
+    assert polybasis.row_blocks(SAMPLE_CHUNK, 8 * z.shape[0])[0].stop < SAMPLE_BLOCK
+    for predict, points in ((pce.predict, chunk), (gp.predict_mean, chunk[:, :2])):
+        blocks = [predict(points[start:start + SAMPLE_BLOCK])
+                  for start in range(0, SAMPLE_CHUNK, SAMPLE_BLOCK)]
+        assert np.concatenate(blocks).tobytes() == predict(points).tobytes()
 
 
 def test_fit_validation():

@@ -13,7 +13,9 @@ from scipy.stats import qmc
 
 from sasrel.benchmarks import BENCHMARK_NAMES, get_benchmark
 from sasrel.errors import DimensionError, DomainError, ParameterError
+from sasrel.polybasis import BLOCK_ROW_ALIGN
 from sasrel.probspace import (
+    SAMPLE_BLOCK,
     SAMPLE_CHUNK,
     Marginal,
     ProbabilisticModel,
@@ -303,3 +305,21 @@ def test_mc_sample_chunk_boundary_stable():
     head = mc_sample(model, SAMPLE_CHUNK, seed=3)
     np.testing.assert_array_equal(full[:SAMPLE_CHUNK], head)
     assert full.shape == (SAMPLE_CHUNK + 7, 1)
+
+
+@pytest.mark.parametrize("n", [SAMPLE_CHUNK + 7, 3 * SAMPLE_BLOCK + 5])
+def test_stream_blocks_concatenate_to_one_draw_per_chunk(n):
+    dim = 3
+    blocks = list(uniform_stream(11, n, dim))
+    assert all(1 <= b.shape[0] <= SAMPLE_BLOCK and b.shape[1] == dim for b in blocks)
+    children = np.random.SeedSequence(11).spawn(-(-n // SAMPLE_CHUNK))
+    rows = [min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK) for i in range(len(children))]
+    chunks = [np.random.default_rng(child).random((r, dim))
+              for r, child in zip(rows, children)]
+    assert np.vstack(blocks).tobytes() == np.vstack(chunks).tobytes()
+
+
+def test_sample_block_is_aligned_and_divides_the_chunk():
+    assert SAMPLE_BLOCK & (SAMPLE_BLOCK - 1) == 0  # a power of two
+    assert SAMPLE_BLOCK % BLOCK_ROW_ALIGN == 0
+    assert SAMPLE_CHUNK % SAMPLE_BLOCK == 0

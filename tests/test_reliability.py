@@ -134,8 +134,10 @@ def test_mcs_nonfinite_reports_sample_index():
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    # 1000-row chunks make a many-chunk stream with a ragged last chunk cheap
+    # 1000-row chunks of 256-row blocks make a many-chunk stream cheap, with
+    # a ragged last block in every chunk and a ragged last chunk
     monkeypatch.setattr(probspace, "SAMPLE_CHUNK", 1000)
+    monkeypatch.setattr(probspace, "SAMPLE_BLOCK", 256)
 
 
 def test_pool_size_does_not_change_estimates_or_scatter(monkeypatch, small_chunks):
@@ -152,71 +154,73 @@ def test_pool_size_does_not_change_estimates_or_scatter(monkeypatch, small_chunk
         outcomes.append((mcs.pf, spce.pf, sas.pf, art.scatter.tobytes()))
         assert threading.active_count() == threads
         if workers == 1:
-            # the scatter is the head of chunk 0 ...
-            u0 = next(uniform_stream(cfg.seed, cfg.n_mcs, model.dim))
-            head = art.subspace.project(2.0 * u0 - 1.0)[:SCATTER_ROWS]
+            # the scatter is the head of the stream, across chunks and blocks ...
+            u = np.vstack(list(uniform_stream(cfg.seed, cfg.n_mcs, model.dim)))
+            head = art.subspace.project(2.0 * u[:SCATTER_ROWS] - 1.0)
+            assert art.scatter.shape == (SCATTER_ROWS, head.shape[1] + 1)
             assert art.scatter[:, :-1].tobytes() == head.tobytes()
-            # ... also when chunk 0 finishes last on a pool
+            # ... also when block 0 finishes last on a pool
             predict_mean = HpcfeModel.predict_mean
 
-            def chunk0_slow(self, z):
+            def block0_slow(self, z):
                 if z[0, 0] == head[0, 0]:
                     time.sleep(0.2)
                 return predict_mean(self, z)
 
-            monkeypatch.setattr(HpcfeModel, "predict_mean", chunk0_slow)
+            monkeypatch.setattr(HpcfeModel, "predict_mean", block0_slow)
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_pooled_nonfinite_names_first_sample_in_stream_order(monkeypatch, small_chunks):
     model = uniform_model(1)
     x = np.vstack(list(uniform_stream(0, 5000, model.dim)))[:, 0]
-    in_chunk2, in_chunk3 = x[2017], x[3004]
-    assert np.count_nonzero(x == in_chunk2) == np.count_nonzero(x == in_chunk3) == 1
+    # the ragged last block of chunk 2, and the first block of chunk 3
+    first, later = x[2777], x[3004]
+    assert np.count_nonzero(x == first) == np.count_nonzero(x == later) == 1
 
     def g(x):
-        if np.any(x[:, 0] == in_chunk2):
-            time.sleep(0.2)  # on a pool, chunk 3 finishes first
+        if np.any(x[:, 0] == first):
+            time.sleep(0.2)  # on a pool, the later block finishes first
         out = np.ones(len(x))
-        out[(x[:, 0] == in_chunk2) | (x[:, 0] == in_chunk3)] = np.nan
+        out[(x[:, 0] == first) | (x[:, 0] == later)] = np.nan
         return out
 
     threads = threading.active_count()
     for workers in (1, 3):
         monkeypatch.setattr(parallel, "usable_cores", lambda w=workers: w)
-        with pytest.raises(NumericalError, match="sample 2017$"):
+        with pytest.raises(NumericalError, match="sample 2777$"):
             mcs_probability(LimitState("bad", 1, g), model, n=5000, seed=0)
         assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("cores, workers", [(2, 2), (64, reliability.MAX_POOL_WORKERS)])
-def test_pool_draws_at_most_one_chunk_beyond_its_threads(monkeypatch, cores, workers):
-    # on many cores the pool, and with it the chunks in flight, stops at the cap
-    n_chunks = 2 * reliability.MAX_POOL_WORKERS + 2
+def test_pool_draws_at_most_one_block_beyond_its_threads(monkeypatch, cores, workers):
+    # on many cores the pool, and with it the blocks in flight, stops at the cap
+    n_blocks = 2 * reliability.MAX_POOL_WORKERS + 2
     monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
     drawn = []
-    released = [threading.Event() for _ in range(n_chunks)]
+    released = [threading.Event() for _ in range(n_blocks)]
 
     def stream(seed, n, dim):
-        for i in range(n_chunks):
+        for i in range(n_blocks):
             drawn.append(i)
-            yield np.full((10, 1), float(i))  # each block carries its chunk index
+            yield np.full((10, 1), float(i))  # each block carries its index
 
     def g(u):
         i = int(u[0, 0])
         if not released[i].wait(timeout=10):
-            raise TimeoutError(f"chunk {i} never released")
+            raise TimeoutError(f"block {i} never released")
         return np.ones(u.shape[0])
 
     monkeypatch.setattr(reliability, "uniform_stream", stream)
     out = []
     runner = threading.Thread(target=lambda: out.append(
-        reliability._failure_probability(g, 10 * n_chunks, 0, 1, "g")))
+        reliability._failure_probability(g, 10 * n_blocks, 0, 1, "g")))
     runner.start()
     try:
-        for i in range(n_chunks):
+        for i in range(n_blocks):
             time.sleep(0.05)
-            # chunks i and later are held back, so at most i chunks are collected
+            # blocks i and later are held back, so at most i blocks are collected
             assert len(drawn) <= i + workers + 1
             released[i].set()
     finally:
@@ -224,7 +228,7 @@ def test_pool_draws_at_most_one_chunk_beyond_its_threads(monkeypatch, cores, wor
             event.set()
         runner.join(timeout=10)
     assert not runner.is_alive()
-    assert out == [(0.0, math.inf)] and len(drawn) == n_chunks
+    assert out == [(0.0, math.inf)] and len(drawn) == n_blocks
 
 
 def test_limit_state_dimension_check():
@@ -272,7 +276,7 @@ def test_pipeline_audits_model_eval_budget(monkeypatch, small_chunks):
     res, _ = sas_hpcfe_pipeline(training, cfg)
     assert calls["n"] == 48
     assert res.n_model_evals == 48
-    # direct Monte Carlo on a pool counts every row of every chunk
+    # direct Monte Carlo on a pool counts every row of every block
     monkeypatch.setattr(parallel, "usable_cores", lambda: 3)
     counted = CountingLimitState(LimitState("plane6", 6, g))
     mcs_probability(counted, model, n=2500, seed=1)

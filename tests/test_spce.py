@@ -106,14 +106,14 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
         return design(basis, points)
 
     monkeypatch.setattr(spce, "eval_design_matrix", counted)
-    # 200 rows of 5 design entries fit the budget; blocks round down to 192 rows
+    # 200 rows of 5 design entries fit the budget; blocks round down to 128 = 2**7 rows
     monkeypatch.setattr(polybasis, "BLOCK_BYTES", 8 * 5 * 200)
     for p, expected in zip(cases, one_block):
         assert model.predict(p).tobytes() == expected.tobytes()
     assert [out.shape for out in one_block] == [(1000,), (0,), (1,), (1,)]
     block_rows.clear()
     model.predict(probe)
-    assert block_rows == [192] * 5 + [40]
+    assert block_rows == [128] * 7 + [104]
 
 
 def test_gradient_linear_and_fd():
