@@ -21,29 +21,22 @@ from .errors import DimensionError, DomainError, ParameterError
 _DOMAIN_TOL = 1e-12
 
 
-def legendre_tables(t: np.ndarray, degree: int, derivatives: bool = False):
-    """Tabulate psi_0 .. psi_degree (and optionally derivatives) at ``t``.
+def legendre_tables(t: np.ndarray, degree: int) -> np.ndarray:
+    """Tabulate psi_0 .. psi_degree at ``t``.
 
-    Uses the three-term recurrence ``(k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}``
-    and, for derivatives, ``P'_{k+1} = P'_{k-1} + (2k+1) P_k``, which stays
-    well defined at the interval endpoints.
+    Uses the three-term recurrence ``(k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}``.
 
     Args:
         t: evaluation points, any shape.
         degree: highest polynomial degree tabulated.
-        derivatives: also return the derivative table.
 
     Returns:
-        Array of shape ``t.shape + (degree + 1,)``, or a tuple of two such
-        arrays when ``derivatives`` is set.
+        Array of shape ``t.shape + (degree + 1,)``.
     """
-    tables = _tabulate(np.asarray(t, dtype=float)[..., None], degree, derivatives)
-    if not derivatives:
-        return tables[..., 0]
-    return tables[0][..., 0], tables[1][..., 0]
+    return _tabulate(np.asarray(t, dtype=float)[..., None], degree)[..., 0]
 
 
-def _tabulate(t: np.ndarray, degree: int, derivatives: bool = False):
+def _tabulate(t: np.ndarray, degree: int) -> np.ndarray:
     # The degree axis goes second to last: shape t.shape[:-1] + (degree + 1,)
     # + t.shape[-1:], so each (coordinate, degree) row over the last axis of
     # t is contiguous.
@@ -56,19 +49,8 @@ def _tabulate(t: np.ndarray, degree: int, derivatives: bool = False):
     for k in range(1, degree):
         P[..., k + 1, :] = ((2 * k + 1) * t * P[..., k, :]
                             - k * P[..., k - 1, :]) / (k + 1)
-    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]
-    if not derivatives:
-        P *= scale
-        return P
-    D = np.zeros_like(P)
-    if degree >= 1:
-        D[..., 1, :] = 1.0
-    for k in range(1, degree):
-        D[..., k + 1, :] = D[..., k - 1, :] + (2 * k + 1) * P[..., k, :]
-    # the D recurrence reads the unscaled P, so scale only now
-    P *= scale
-    D *= scale
-    return P, D
+    P *= np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]
+    return P
 
 
 @lru_cache(maxsize=64)
@@ -142,15 +124,6 @@ class BasisSet:
         return int(self.indices.max(initial=0))
 
 
-def _check_points(points: np.ndarray, dim: int, check_domain: bool) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != dim:
-        raise DimensionError(f"points have {pts.shape[1]} columns, basis needs {dim}")
-    if check_domain and np.any(np.abs(pts) > 1.0 + _DOMAIN_TOL):
-        raise DomainError("evaluation points must lie in [-1, 1]^dim")
-    return pts
-
-
 def eval_design_matrix(basis: BasisSet, points: np.ndarray,
                        check_domain: bool = True) -> np.ndarray:
     """Design matrix ``Phi[i, j] = Phi_{alpha_j}(points[i])`` of shape (n, cardinality).
@@ -161,7 +134,11 @@ def eval_design_matrix(basis: BasisSet, points: np.ndarray,
     exactly, so the work is proportional to the number of nonzero exponents,
     not to cardinality times dimension.
     """
-    pts = _check_points(points, basis.dim, check_domain)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != basis.dim:
+        raise DimensionError(f"points have {pts.shape[1]} columns, basis needs {basis.dim}")
+    if check_domain and np.any(np.abs(pts) > 1.0 + _DOMAIN_TOL):
+        raise DomainError("evaluation points must lie in [-1, 1]^dim")
     n, card = pts.shape[0], basis.cardinality
     idx = basis.indices
     used = np.flatnonzero(idx.any(axis=0))
@@ -212,32 +189,33 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
 
 
 def eval_basis_gradient(basis: BasisSet, points: np.ndarray,
-                        check_domain: bool = True) -> np.ndarray:
-    """Gradients of every basis function at every point.
+                        coefficients: np.ndarray) -> np.ndarray:
+    """Gradient of the expansion ``sum_j c_j Phi_{alpha_j}``; shape (n, dim).
 
-    Returns an array of shape (n, cardinality, dim),
-    ``G[i, j, e] = d Phi_{alpha_j} / d t_e`` at ``points[i]``.  Built from
-    prefix and suffix products of the per-dimension value tables so each
-    dimension is touched once.
+    The derivative of an orthonormal Legendre function is an expansion in the
+    same family, ``psi_k' = sqrt(2k+1) sum_{m<k, k-m odd} sqrt(2m+1) psi_m``,
+    so ``d Phi_alpha / d t_e`` lowers ``alpha_e`` by 1, 3, 5, ... with those
+    weights.  The lowered multi-indices of all terms, equal ones merged, form
+    one basis and a coefficient matrix ``G`` (terms' x dim) whose column ``e``
+    expands ``df / dt_e``; the gradient is that basis's design matrix times
+    ``G``.
     """
-    pts = _check_points(points, basis.dim, check_domain)
-    n, dim, card = pts.shape[0], basis.dim, basis.cardinality
-    tables, dtables = legendre_tables(pts, basis.max_degree, derivatives=True)
-
-    vals = np.empty((dim, n, card))
-    for d in range(dim):
-        vals[d] = tables[:, d, basis.indices[:, d]]
-    suffix = np.ones((n, card))
-    suffixes = np.empty((dim, n, card))
-    for d in range(dim - 1, -1, -1):
-        suffixes[d] = suffix
-        suffix = suffix * vals[d]
-
-    grad = np.zeros((n, card, dim))
-    prefix = np.ones((n, card))
-    for d in range(dim):
-        col = basis.indices[:, d]
-        if col.any():  # all-zero exponents give identically zero derivatives
-            grad[:, :, d] = prefix * dtables[:, d, col] * suffixes[d]
-        prefix = prefix * vals[d]
-    return grad
+    idx = basis.indices
+    coef = np.asarray(coefficients, dtype=float).ravel()
+    if coef.shape[0] != basis.cardinality:
+        raise DimensionError(
+            f"{coef.shape[0]} coefficients for {basis.cardinality} basis functions")
+    term, e = np.nonzero(idx)
+    k = idx[term, e]
+    # one entry per (term, coordinate e, lowered degree m = k-1, k-3, ... >= 0)
+    reps = (k + 1) // 2
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    term, e, k = np.repeat(term, reps), np.repeat(e, reps), np.repeat(k, reps)
+    m = k - 1 - 2 * (np.arange(term.size) - first)
+    lowered = idx[term]
+    lowered[np.arange(term.size), e] = m
+    weight = coef[term] * np.sqrt(2.0 * k + 1.0) * np.sqrt(2.0 * m + 1.0)
+    derived, row = np.unique(lowered, axis=0, return_inverse=True)
+    G = np.zeros((derived.shape[0], basis.dim))
+    np.add.at(G, (row.ravel(), e), weight)
+    return eval_design_matrix(BasisSet(derived), points) @ G

@@ -217,10 +217,7 @@ class SparsePceModel:
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         if xi.shape[1] != self.dim:
             raise DimensionError(f"points have {xi.shape[1]} columns, model has {self.dim}")
-        if not self.n_active:
-            return np.zeros_like(xi)
-        grads = eval_basis_gradient(self.basis, xi)
-        return np.einsum("njd,j->nd", grads, self.coefficients)
+        return eval_basis_gradient(self.basis, xi, self.coefficients)
 
     def to_json(self) -> str:
         return json.dumps({

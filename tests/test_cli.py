@@ -454,3 +454,41 @@ def test_study_benchmark_hooks_resolve(monkeypatch):
             assert attr in vars(owner), f"{owner_path}.{attr}"
         else:
             assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr}"
+
+
+HOOKED_SUBSPACE_SCRIPT = """\
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("studybench_hooks", sys.argv[1])
+hooks = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = hooks
+spec.loader.exec_module(hooks)
+tracer = hooks.Tracer()
+hooks.install(tracer)
+
+from sasrel import reliability
+from sasrel.probspace import sobol_points
+from sasrel.spce import fit_lar
+
+xi = 2.0 * sobol_points(64, 4) - 1.0
+model = fit_lar(xi, xi[:, 0] + xi[:, 1] * xi[:, 2] ** 2, p_max=3)
+reliability.subspace_from_surrogate(model, mu=0.98, n_grad_samples=40, skip=64)
+print(json.dumps({"n_active": model.n_active,
+                  "spans": [[s.name, s.rows, s.cols, s.parent] for s in tracer.spans]}))
+"""
+
+
+def test_study_benchmark_gradient_hook_fits_its_call():
+    """A traced subspace run records the gradient span with its call's size."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", HOOKED_SUBSPACE_SCRIPT, str(HOOKS_FILE)],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=120)
+    out = json.loads(done.stdout)
+    spans = out["spans"]
+    subspace = [i for i, s in enumerate(spans) if s[0] == "activesub.subspace"]
+    gradient = [s for s in spans if s[0] == "polybasis.gradient"]
+    assert len(subspace) == 1
+    assert out["n_active"] > 0
+    assert [s[1:] for s in gradient] == [[40, out["n_active"], subspace[0]]]

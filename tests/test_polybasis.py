@@ -15,6 +15,7 @@ from sasrel.polybasis import (
     legendre_tables,
     total_degree_indices,
 )
+from sasrel.spce import SparsePceModel
 
 
 def test_values_match_scipy():
@@ -25,17 +26,23 @@ def test_values_match_scipy():
             table[:, k], math.sqrt(2 * k + 1) * eval_legendre(k, t), atol=1e-12)
 
 
+def one_term_gradients(t, degree):
+    """d psi_k / dt for k = 0 .. degree, each as the one-term expansion [[k]]."""
+    pts = np.asarray(t, dtype=float)[:, None]
+    return np.column_stack([eval_basis_gradient(BasisSet([[k]]), pts, [1.0])[:, 0]
+                            for k in range(degree + 1)])
+
+
 def test_derivatives_match_finite_differences():
     t = np.linspace(-0.95, 0.95, 31)
     h = 1e-6
-    _, dtab = legendre_tables(t, 7, derivatives=True)
     fd = (legendre_tables(t + h, 7) - legendre_tables(t - h, 7)) / (2 * h)
-    np.testing.assert_allclose(dtab, fd, atol=1e-5)
+    np.testing.assert_allclose(one_term_gradients(t, 7), fd, atol=1e-5)
 
 
 def test_derivatives_at_endpoints():
     # P'_k(1) = k (k+1) / 2, and the odd/even reflection at -1
-    _, dtab = legendre_tables(np.array([1.0, -1.0]), 6, derivatives=True)
+    dtab = one_term_gradients(np.array([1.0, -1.0]), 6)
     for k in range(7):
         expect = k * (k + 1) / 2 * math.sqrt(2 * k + 1)
         assert dtab[0, k] == pytest.approx(expect, rel=1e-12)
@@ -163,14 +170,16 @@ def test_gradient_matches_finite_differences():
     basis = BasisSet.total_degree(3, 4)
     rng = np.random.default_rng(11)
     pts = 0.9 * (2.0 * rng.random((12, 3)) - 1.0)
-    grad = eval_basis_gradient(basis, pts)
+    coef = rng.uniform(-2.0, 2.0, basis.cardinality)
+    grad = eval_basis_gradient(basis, pts, coef)
+    assert grad.shape == (12, 3)
     h = 1e-6
     for e in range(3):
         step = np.zeros(3)
         step[e] = h
         fd = (eval_design_matrix(basis, pts + step, check_domain=False)
-              - eval_design_matrix(basis, pts - step, check_domain=False)) / (2 * h)
-        np.testing.assert_allclose(grad[:, :, e], fd, atol=1e-5)
+              - eval_design_matrix(basis, pts - step, check_domain=False)) @ coef / (2 * h)
+        np.testing.assert_allclose(grad[:, e], fd, atol=1e-5)
 
 
 def test_gradient_skips_inactive_dimensions():
@@ -178,10 +187,73 @@ def test_gradient_skips_inactive_dimensions():
     indices = np.array([[0, 2, 0], [0, 1, 0], [0, 0, 0]])
     basis = BasisSet(indices)
     pts = np.array([[0.4, -0.2, 0.9]])
-    grad = eval_basis_gradient(basis, pts)
-    np.testing.assert_array_equal(grad[:, :, 0], 0.0)
-    np.testing.assert_array_equal(grad[:, :, 2], 0.0)
-    assert abs(grad[0, 0, 1]) > 0.0
+    grad = eval_basis_gradient(basis, pts, [1.5, -0.5, 2.0])
+    np.testing.assert_array_equal(grad[:, 0], 0.0)
+    np.testing.assert_array_equal(grad[:, 2], 0.0)
+    assert abs(grad[0, 1]) > 0.0
+
+
+def dense_gradient(basis, points):
+    """Reference: every basis function's gradient, shape (n, cardinality, dim).
+
+    Prefix and suffix products of the per-coordinate value tables, with the
+    derivative table from ``P'_{k+1} = P'_{k-1} + (2k+1) P_k``.
+    """
+    n, dim, card = points.shape[0], basis.dim, basis.cardinality
+    deg = basis.max_degree
+    scale = np.sqrt(2.0 * np.arange(deg + 1) + 1.0)
+    tables = legendre_tables(points, deg)
+    plain = tables / scale  # the classical P_k
+    dtables = np.zeros_like(tables)
+    if deg >= 1:
+        dtables[..., 1] = 1.0
+    for k in range(1, deg):
+        dtables[..., k + 1] = dtables[..., k - 1] + (2 * k + 1) * plain[..., k]
+    dtables *= scale
+
+    vals = np.empty((dim, n, card))
+    for d in range(dim):
+        vals[d] = tables[:, d, basis.indices[:, d]]
+    suffix = np.ones((n, card))
+    suffixes = np.empty((dim, n, card))
+    for d in range(dim - 1, -1, -1):
+        suffixes[d] = suffix
+        suffix = suffix * vals[d]
+    grad = np.zeros((n, card, dim))
+    prefix = np.ones((n, card))
+    for d in range(dim):
+        col = basis.indices[:, d]
+        if col.any():
+            grad[:, :, d] = prefix * dtables[:, d, col] * suffixes[d]
+        prefix = prefix * vals[d]
+    return grad
+
+
+def random_sparse_model(dim, n_terms, seed):
+    """Distinct terms of 1 to 4 nonzero exponents (at most dim), each 1 to 5."""
+    rng = np.random.default_rng(seed)
+    rows = set()
+    while len(rows) < n_terms:
+        alpha = np.zeros(dim, dtype=np.int64)
+        used = rng.choice(dim, int(rng.integers(1, min(4, dim) + 1)), replace=False)
+        alpha[used] = rng.integers(1, 6, used.size)
+        rows.add(tuple(alpha))
+    indices = np.array(sorted(rows))
+    return SparsePceModel(dim=dim, p_max=int(indices.sum(axis=1).max()),
+                          indices=indices, coefficients=rng.uniform(-2.0, 2.0, n_terms),
+                          intercept=0.3, loo=0.0)
+
+
+@pytest.mark.parametrize("dim", [3, 20, 100])
+def test_model_gradient_equals_dense_reference(dim):
+    model = random_sparse_model(dim, 40, seed=dim)
+    # the models include terms in as many coordinates as the generator allows
+    assert np.count_nonzero(model.indices, axis=1).max() == min(4, dim)
+    pts = np.random.default_rng(dim + 1).uniform(-1.0, 1.0, (200, dim))
+    expect = np.einsum("njd,j->nd", dense_gradient(model.basis, pts), model.coefficients)
+    grad = model.gradient(pts)
+    assert grad.shape == (200, dim)
+    assert np.abs(grad - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_invalid_inputs():

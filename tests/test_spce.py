@@ -9,7 +9,12 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from sasrel import polybasis, spce
 from sasrel.errors import DimensionError, ParameterError
-from sasrel.polybasis import BasisSet, basis_cardinality, eval_design_matrix
+from sasrel.polybasis import (
+    BasisSet,
+    basis_cardinality,
+    eval_design_matrix,
+    total_degree_indices,
+)
 from sasrel.probspace import sobol_points
 from sasrel.spce import SparsePceModel, _IncrementalOls, fit_lar, lar_path
 
@@ -347,6 +352,35 @@ def test_fit_peak_memory_is_a_few_designs():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * n * basis_cardinality(dim, p_max)
+
+
+def test_gradient_peak_memory_is_a_few_designs():
+    # gfun-m100's shape: 1000 gradient points, dim 100, 50 terms of total
+    # degree <= 2.  The gradient is one design of the derived basis (each
+    # term with one exponent lowered by 1) times its coefficient matrix; the
+    # design kernel holds the transposed points, a two-row value table per
+    # coordinate and the design with its transposed copy, and the result is
+    # (n, dim).  The (n, terms, dim) tensor of every term's gradient would be
+    # 8 * 1000 * 50 * 100 = 40 MB.
+    n, dim = 1000, 100
+    rng = np.random.default_rng(8)
+    candidates = total_degree_indices(dim, 2)
+    indices = candidates[np.sort(rng.choice(np.arange(1, len(candidates)), 50,
+                                            replace=False))]
+    model = SparsePceModel(dim=dim, p_max=2, indices=indices,
+                           coefficients=rng.uniform(-1.0, 1.0, 50), intercept=0.0,
+                           loo=0.0)
+    pts = rng.uniform(-1.0, 1.0, (n, dim))
+    unit = np.eye(dim, dtype=np.int64)
+    derived = {tuple(a - unit[e]) for a in indices for e in np.flatnonzero(a)}
+    model.gradient(pts[:2])  # one-time allocations outside the kernel
+    tracemalloc.start()
+    try:
+        model.gradient(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * n * len(derived)
 
 
 def test_validation_errors():
