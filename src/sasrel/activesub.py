@@ -1,9 +1,10 @@
 """Active-subspace identification from surrogate gradients.
 
-The average-derivative matrix C = E[grad f grad f^T] is estimated by Monte
-Carlo over standardized points, using the analytic gradient of a cheap sparse
-expansion instead of the true model.  Its dominant eigenspace defines the
-projection z = W1^T x onto the directions of strongest output variability.
+The average-derivative matrix C = E[grad f grad f^T] is estimated by
+quasi-Monte Carlo over Sobol points in standardized coordinates, using the
+analytic gradient of a cheap sparse expansion instead of the true model.
+Its dominant eigenspace defines the projection z = W1^T x onto the
+directions of strongest output variability.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ _GRAD_CHUNK = 4096
 
 
 def estimate_c(grad_fn, samples: np.ndarray) -> np.ndarray:
-    """Monte-Carlo estimate (1/n) sum_j grad_j grad_j^T of the derivative matrix.
+    """Sample-mean estimate (1/n) sum_j grad_j grad_j^T of the derivative matrix.
 
-    ``grad_fn`` maps a (m, N) block of standardized points to (m, N) gradients.
-    Accumulation is chunked in a fixed schedule, so the result is deterministic
-    for a fixed sample set.  Symmetrized before returning.
+    ``subspace_from_surrogate`` passes Sobol points, so the estimate is
+    quasi-Monte Carlo.  ``grad_fn`` maps a (m, N) block of standardized
+    points to (m, N) gradients.  Accumulation is chunked in a fixed schedule,
+    so the result is deterministic for a fixed sample set.  Symmetrized
+    before returning.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, dim = samples.shape

@@ -83,7 +83,7 @@ def beam_state() -> LimitState:
     return LimitState(name="beam", dim=20, fn=beam_limit_state_values)
 
 
-def beam_model(truncated: bool = True) -> ProbabilisticModel:
+def beam_model(*, truncated: bool) -> ProbabilisticModel:
     marginals = []
     for name, mean, sd, kind, interval in _TABLE:
         marginals.append(Marginal(kind=kind, mean=mean, sd=sd,

@@ -356,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to a JSON study config")
     run_p.add_argument("--out", default=None, help="output directory override")
     run_p.add_argument("--seed", type=int, default=None, help="seed override")
-    run_p.add_argument("--no-truncation", action="store_true",
-                       help="ignore marginal truncation intervals")
 
     report_p = sub.add_parser("report", help="summarize a results directory")
     report_p.add_argument("results_dir")
@@ -376,8 +374,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
             cfg.pipeline = replace(cfg.pipeline, seed=args.seed)
-        if args.no_truncation:
-            cfg.truncation = False
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

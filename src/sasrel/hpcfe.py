@@ -135,8 +135,9 @@ def _chol_with_retries(z: np.ndarray, theta: np.ndarray,
     LAPACK ``dpotrf`` factors the matrix in place: R is exactly symmetric, so
     its transpose is a Fortran-ordered view of the same memory and nothing is
     copied.  The factor L is the lower triangle of the returned array; the
-    upper triangle is left unzeroed and holds entries of R, so consumers must
-    read the lower triangle only (``lower=True`` solves, ``np.diag``).
+    upper triangle is left unzeroed and holds entries of R, so its readers,
+    ``_profile_likelihood`` and ``_assemble``, take the lower triangle only
+    (``lower=True`` solves, ``np.diag``).  No model keeps it.
     """
     eff = nugget
     for _ in range(_NUGGET_RETRIES + 1):
@@ -186,10 +187,10 @@ class StartRecord:
 class HpcfeModel:
     """Fitted hybrid surrogate, built by ``fit`` or ``fit_fixed_theta``.
 
-    The private fields are the fit's own state at the fitted length scales:
-    the rescaled training points, the Cholesky factor L of R (its lower
-    triangle only; see ``_chol_with_retries``), x = L^-1 Psi and
-    R^-1 (d - Psi alpha).  ``starts`` records the optimizer starts of
+    The private fields are what ``predict_mean`` reads beyond the public
+    ones: the rescaled training points and the residual weights
+    R^-1 (d - Psi alpha) at the fitted length scales; no n_train x n_train
+    array outlives the fit.  ``starts`` records the optimizer starts of
     ``fit`` in start order (none for ``fit_fixed_theta``); ``to_json`` does
     not write it.  Immutable; prediction is safe to share across threads.
     Equality is identity.
@@ -208,8 +209,6 @@ class HpcfeModel:
     nugget: float
     fit_notes: tuple[str, ...]
     _zs: np.ndarray = field(repr=False)
-    _chol: np.ndarray = field(repr=False)
-    _x: np.ndarray = field(repr=False)
     _w_resid: np.ndarray = field(repr=False)
     starts: tuple[StartRecord, ...] = field(default=(), repr=False)
 
@@ -220,36 +219,19 @@ class HpcfeModel:
                 f"points have {z.shape[1]} coordinates, model has {self.box_lo.shape[0]}")
         return _rescale(z, self.box_lo, self.box_hi)
 
-    def _blocks(self, zs: np.ndarray):
-        """(rows, trend design, cross-kernel) per row block of rescaled points.
+    def predict_mean(self, z: np.ndarray) -> np.ndarray:
+        """Predictive mean at reduced-space points; shape (n,).
 
-        Blocks are ``polybasis.row_blocks`` of rows x n_train kernel entries.
+        Rows go in ``polybasis.row_blocks`` of rows x n_train kernel entries.
         """
+        zs = self._scaled(z)
+        out = np.empty(zs.shape[0])
         basis = BasisSet(self.basis_map)
         for rows in row_blocks(zs.shape[0], 8 * self._zs.shape[0]):
             block = zs[rows]
-            yield (rows, eval_design_matrix(basis, block, check_domain=False),
-                   _kernel_cross(block, self._zs, self.theta))
-
-    def predict_mean(self, z: np.ndarray) -> np.ndarray:
-        """Predictive mean at reduced-space points; shape (n,)."""
-        zs = self._scaled(z)
-        out = np.empty(zs.shape[0])
-        for rows, phi, k in self._blocks(zs):
+            phi = eval_design_matrix(basis, block, check_domain=False)
+            k = _kernel_cross(block, self._zs, self.theta)
             out[rows] = self.g0 + phi @ self.alpha + k @ self._w_resid
-        return out
-
-    def predict_variance(self, z: np.ndarray) -> np.ndarray:
-        """Universal-kriging predictive variance at reduced-space points; >= 0."""
-        zs = self._scaled(z)
-        out = np.empty(zs.shape[0])
-        for rows, phi, k in self._blocks(zs):
-            lk = solve_triangular(self._chol, k.T, lower=True)
-            quad_sk = np.einsum("ij,ij->j", lk, lk)
-            # u^T (x^T x)^+ u = |(x^T)^+ u|^2: one least-squares solve, no pinv
-            v = homotopy_solve(self._x.T, self._x.T @ lk - phi.T)
-            quad_trend = np.einsum("ij,ij->j", v, v)
-            out[rows] = np.clip(self.sigma2 * (1.0 - quad_sk + quad_trend), 0.0, None)
         return out
 
     def to_json(self) -> str:
@@ -308,8 +290,7 @@ def _training_data(z: np.ndarray, y: np.ndarray, config: HpcfeConfig) -> _Traini
 def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float):
     """Concentrated log-likelihood and trend solve at fixed length scales.
 
-    Returns (log-likelihood, alpha, sigma2, effective nugget, factor L of R,
-    x = L^-1 Psi).
+    Returns (log-likelihood, alpha, sigma2, effective nugget, factor L of R).
     """
     n = data.zs.shape[0]
     chol, eff = _chol_with_retries(data.zs, theta, nugget)
@@ -320,13 +301,16 @@ def _profile_likelihood(data: _TrainingData, theta: np.ndarray, nugget: float):
     sigma2 = float(lresid @ lresid) / n
     ll = -0.5 * n * math.log(max(sigma2, data.var_floor)) \
         - float(np.sum(np.log(np.diag(chol))))
-    return ll, alpha, sigma2, eff, chol, x
+    return ll, alpha, sigma2, eff, chol
 
 
 def _assemble(data: _TrainingData, theta: np.ndarray, config: HpcfeConfig,
               notes: list[str], starts: tuple[StartRecord, ...] = ()) -> HpcfeModel:
-    """The fitted model at the given length scales; fit notes are appended."""
-    _, alpha, sigma2, eff, chol, x = _profile_likelihood(data, theta, config.nugget)
+    """The fitted model at the given length scales; fit notes are appended.
+
+    The factor of R forms the residual weights and is then dropped.
+    """
+    _, alpha, sigma2, eff, chol = _profile_likelihood(data, theta, config.nugget)
     if eff != config.nugget:
         notes.append(f"nugget raised to {eff:.1e} for factorization")
     w_resid = cho_solve((chol, True), data.d - data.psi_d[:, :-1] @ alpha)
@@ -334,8 +318,7 @@ def _assemble(data: _TrainingData, theta: np.ndarray, config: HpcfeConfig,
                       sigma2=sigma2, z_train=data.z, d=data.d,
                       basis_map=data.basis_map, box_lo=data.box_lo,
                       box_hi=data.box_hi, nugget=eff, fit_notes=tuple(notes),
-                      _zs=data.zs, _chol=chol, _x=x, _w_resid=w_resid,
-                      starts=starts)
+                      _zs=data.zs, _w_resid=w_resid, starts=starts)
 
 
 def fit_fixed_theta(z: np.ndarray, y: np.ndarray, theta: np.ndarray,

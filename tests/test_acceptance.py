@@ -5,6 +5,7 @@ executed once per session through the registry settings and shared between
 criteria, so this module reproduces the benchmark tables end to end.
 """
 
+import contextlib
 import functools
 import math
 import os
@@ -12,6 +13,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from sasrel.benchmarks import get_benchmark
 from sasrel.reliability import (
@@ -32,6 +35,9 @@ PROPERTY_SUITES = (
     "test_cli.py",
 )
 
+# studies whose HPCFE likelihood optimum puts a length scale at its bound
+BOUND_HIT = {"beam", "truss"}
+
 
 @functools.lru_cache(maxsize=None)
 def reference_mcs(name):
@@ -48,7 +54,9 @@ def pipeline_run(name):
     counter = CountingLimitState(bench.limit_state)
     t0 = time.perf_counter()
     training = fit_training(counter, bench.model, bench.pipeline)
-    res, artifacts = sas_hpcfe_pipeline(training, bench.pipeline)
+    with (pytest.warns(RuntimeWarning, match="optimization bound") if name in BOUND_HIT
+          else contextlib.nullcontext()):
+        res, artifacts = sas_hpcfe_pipeline(training, bench.pipeline)
     elapsed = time.perf_counter() - t0
     return res, artifacts, counter.n_evals, elapsed
 

@@ -29,6 +29,12 @@ def small_config(**kw):
     return HpcfeConfig(**base)
 
 
+def fit_at_bound(z, y, config):
+    """``fit`` on data whose likelihood optimum lies at a length-scale bound."""
+    with pytest.warns(RuntimeWarning, match="optimization bound"):
+        return fit(z, y, config)
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         HpcfeConfig(M=0)
@@ -205,8 +211,7 @@ def test_fit_evaluates_each_requested_theta_once(monkeypatch):
     monkeypatch.setattr(hpcfe, "minimize", recording_minimize)
     monkeypatch.setattr(hpcfe, "_profile_likelihood", counted)
     monkeypatch.setattr(hpcfe, "correlation_matrix", counted_corr)
-    with pytest.warns(RuntimeWarning, match="optimization bound"):
-        model = fit(z, y, small_config(restarts=1))
+    model = fit_at_bound(z, y, small_config(restarts=1))
     assert model.fit_notes == ("length scale at optimization bound",)
     assert len(set(requested)) < len(requested)  # the optimizer did repeat itself
     assert len(evaluated) == len(set(requested)) + 1  # plus the final assembly
@@ -397,31 +402,11 @@ def test_more_trend_columns_than_points_interpolates_with_minimum_norm_trend():
     psi, _ = build_design_matrix(model._zs, cfg)
     assert psi.shape == (20, 36)
     np.testing.assert_allclose(model.predict_mean(z), y, atol=1e-10 * np.ptp(y))
-    chol = np.tril(model._chol)
+    chol = np.linalg.cholesky(correlation_matrix(model._zs, model.theta, model.nugget))
     x = np.linalg.solve(chol, psi)
     np.testing.assert_allclose(model.alpha,
                                np.linalg.pinv(x) @ np.linalg.solve(chol, model.d),
                                atol=1e-10 * np.abs(model.alpha).max())
-
-
-def test_predict_variance_with_more_trend_columns_than_points_matches_pinv_formula():
-    rng = np.random.default_rng(15)
-    z = rng.uniform(-1, 1, size=(20, 3))
-    y = np.sin(2 * z[:, 0]) + z[:, 1] * z[:, 2]
-    cfg = HpcfeConfig(M=2, b=3)
-    # the trend interpolates, so sigma2 is ~0; unit sigma2 exposes the bracket
-    model = dataclasses.replace(
-        fit_fixed_theta(z, y, np.array([2.0, 2.0, 2.0]), cfg), sigma2=1.0)
-    assert model._x.shape == (20, 36)
-    probe = rng.uniform(-1.2, 1.2, size=(300, 3))
-    zs = model._scaled(probe)
-    phi = eval_design_matrix(BasisSet(model.basis_map), zs, check_domain=False)
-    lk = np.linalg.solve(np.tril(model._chol), hpcfe._kernel_cross(zs, model._zs, model.theta).T)
-    u = model._x.T @ lk - phi.T
-    quad_trend = np.einsum("ij,ij->j", u, np.linalg.pinv(model._x.T @ model._x) @ u)
-    expected = 1.0 - np.einsum("ij,ij->j", lk, lk) + quad_trend
-    assert expected.min() > 0.0
-    np.testing.assert_allclose(model.predict_variance(probe), expected, rtol=1e-9)
 
 
 def test_trend_only_data_absorbed_by_trend():
@@ -472,7 +457,7 @@ def test_degenerate_gp_limit_reduces_to_trend():
 
 def test_constant_response():
     z = np.random.default_rng(5).uniform(-1, 1, size=(10, 2))
-    model = fit(z, np.full(10, 4.2), small_config())
+    model = fit_at_bound(z, np.full(10, 4.2), small_config())
     assert model.g0 == pytest.approx(4.2)
     np.testing.assert_allclose(model.alpha, 0.0, atol=1e-12)
     assert model.sigma2 <= 1e-20
@@ -492,22 +477,9 @@ def test_interpolation_property():
     rng = np.random.default_rng(6)
     z = rng.uniform(-1, 1, size=(30, 2))
     y = np.sin(3 * z[:, 0]) * np.cos(2 * z[:, 1]) + z[:, 0] ** 2
-    model = fit(z, y, small_config())
+    model = fit_at_bound(z, y, small_config())
     err = np.abs(model.predict_mean(z) - y)
     assert err.max() <= 1e-5 * np.ptp(y)
-
-
-def test_variance_nonnegative_small_at_train_large_far():
-    rng = np.random.default_rng(7)
-    z = rng.uniform(-1, 1, size=(25, 2))
-    y = np.tanh(z[:, 0]) + 0.3 * z[:, 1]
-    model = fit(z, y, small_config())
-    probe = rng.uniform(-1.2, 1.2, size=(200, 2))
-    assert np.all(model.predict_variance(probe) >= 0.0)
-    s2_train = model.predict_variance(z)
-    assert np.all(s2_train <= model.sigma2 * (1e-8 + 1e-12))
-    far = np.array([[50.0, -60.0]])
-    assert model.predict_variance(far)[0] >= model.sigma2
 
 
 def test_matches_brute_force_gls_oracle_on_four_points():
@@ -527,20 +499,23 @@ def test_matches_brute_force_gls_oracle_on_four_points():
     r_mat = correlation_matrix(zs, theta, nugget)
     r_inv = np.linalg.inv(r_mat)
     psi = eval_design_matrix(BasisSet(np.array([[1]])), zs)
-    a_mat = psi.T @ r_inv @ psi
-    alpha = np.linalg.solve(a_mat, psi.T @ r_inv @ d)
-    sigma2 = float((d - psi @ alpha) @ r_inv @ (d - psi @ alpha)) / 4.0
+    alpha = np.linalg.solve(psi.T @ r_inv @ psi, psi.T @ r_inv @ d)
 
     probe = np.array([[-0.5], [0.0], [0.33], [0.9]])
     probe_s = 2.0 * (probe - lo) / (hi - lo) - 1.0
     phi_p = eval_design_matrix(BasisSet(np.array([[1]])), probe_s, check_domain=False)
     k = np.exp(-theta[0] * (probe_s - zs.T) ** 2)
     mu_oracle = g0 + phi_p @ alpha + k @ r_inv @ (d - psi @ alpha)
-    u = psi.T @ r_inv @ k.T - phi_p.T
-    s2_oracle = sigma2 * (1.0 - np.einsum("ij,jk,ik->i", k, r_inv, k)
-                          + np.einsum("ji,jk,ki->i", u, np.linalg.inv(a_mat), u))
     np.testing.assert_allclose(model.predict_mean(probe), mu_oracle, atol=1e-10)
-    np.testing.assert_allclose(model.predict_variance(probe), s2_oracle, atol=1e-10)
+
+
+def concentrated_ll(model):
+    """The concentrated log-likelihood at the model's length scales and nugget."""
+    n = model.d.shape[0]
+    floor = max(np.var(model.d + model.g0), 1e-30) * 1e-16
+    chol = np.linalg.cholesky(correlation_matrix(model._zs, model.theta, model.nugget))
+    return -0.5 * n * math.log(max(model.sigma2, floor)) \
+        - float(np.sum(np.log(np.diag(chol))))
 
 
 def test_likelihood_at_optimum_beats_every_start():
@@ -550,14 +525,7 @@ def test_likelihood_at_optimum_beats_every_start():
     z = rng.uniform(-1, 1, size=(20, 2))
     y = np.sin(2 * z[:, 0]) + 0.5 * np.cos(3 * z[:, 1])
     cfg = small_config(restarts=4)
-    model = fit(z, y, cfg)
-
-    def concentrated_ll(m):
-        n = m.d.shape[0]
-        floor = max(np.var(m.d + m.g0), 1e-30) * 1e-16
-        return -0.5 * n * math.log(max(m.sigma2, floor)) \
-            - float(np.sum(np.log(np.diag(m._chol))))
-
+    model = fit_at_bound(z, y, cfg)
     best = concentrated_ll(model)
     lo, hi = np.log10(cfg.theta_bounds)
     starts = 10.0 ** (lo + (hi - lo) * sobol_points(cfg.restarts, 2))
@@ -571,14 +539,8 @@ def test_one_start_reaches_the_eight_start_optimum():
     z = rng.uniform(-1, 1, size=(20, 2))
     y = np.sin(2 * z[:, 0]) + 0.5 * np.cos(3 * z[:, 1])
 
-    def concentrated_ll(cfg):
-        with pytest.warns(RuntimeWarning, match="optimization bound"):
-            m = fit(z, y, cfg)
-        return -0.5 * m.d.shape[0] * math.log(m.sigma2) \
-            - float(np.sum(np.log(np.diag(m._chol))))
-
-    one = concentrated_ll(HpcfeConfig(restarts=1, nm_max_evals=60))
-    assert one >= concentrated_ll(HpcfeConfig(restarts=8)) - 1e-4
+    one = concentrated_ll(fit_at_bound(z, y, HpcfeConfig(restarts=1, nm_max_evals=60)))
+    assert one >= concentrated_ll(fit_at_bound(z, y, HpcfeConfig(restarts=8))) - 1e-4
 
 
 def test_fixed_theta_reproduces_fit_at_its_optimum():
@@ -598,7 +560,7 @@ def test_fixed_theta_reproduces_fit_at_its_optimum():
 def test_extrapolated_prediction_is_finite_and_model_is_frozen():
     rng = np.random.default_rng(9)
     z = rng.uniform(0, 1, size=(15, 2))
-    model = fit(z, z[:, 0] + z[:, 1] ** 2, small_config())
+    model = fit_at_bound(z, z[:, 0] + z[:, 1] ** 2, small_config())
     assert np.all(np.isfinite(model.predict_mean(np.array([[5.0, 5.0]]))))
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.theta = np.ones(2)
@@ -608,7 +570,7 @@ def test_models_compare_by_identity_and_hash():
     rng = np.random.default_rng(10)
     z = rng.uniform(-1, 1, size=(15, 2))
     cfg = small_config()
-    model = fit(z, z[:, 0] - z[:, 1] ** 2, cfg)
+    model = fit_at_bound(z, z[:, 0] - z[:, 1] ** 2, cfg)
     fixed = fit_fixed_theta(z, z[:, 0] - z[:, 1] ** 2, model.theta, cfg)
     assert (model == fixed) is False
     assert model == model
@@ -618,12 +580,12 @@ def test_models_compare_by_identity_and_hash():
 def test_blocked_prediction_equals_one_block(monkeypatch):
     rng = np.random.default_rng(11)
     z = rng.uniform(-1, 1, size=(25, 2))
-    model = fit(z, np.tanh(z[:, 0]) + 0.3 * z[:, 1] ** 2, small_config())
+    model = fit_at_bound(z, np.tanh(z[:, 0]) + 0.3 * z[:, 1] ** 2, small_config())
     probe = rng.uniform(-1.1, 1.1, size=(1000, 2))
     cases = (probe, probe[:0], probe[:1], probe[0])
 
     monkeypatch.setattr(polybasis, "BLOCK_BYTES", 2**40)
-    one_block = [(model.predict_mean(p), model.predict_variance(p)) for p in cases]
+    one_block = [model.predict_mean(p) for p in cases]
 
     block_rows = []
     kernel_cross = hpcfe._kernel_cross
@@ -635,13 +597,30 @@ def test_blocked_prediction_equals_one_block(monkeypatch):
     monkeypatch.setattr(hpcfe, "_kernel_cross", counted)
     # 200 rows of 25 kernel entries fit the budget; blocks round down to 128 = 2**7 rows
     monkeypatch.setattr(polybasis, "BLOCK_BYTES", 8 * 25 * 200)
-    for p, (mean, var) in zip(cases, one_block):
+    for p, mean in zip(cases, one_block):
         assert model.predict_mean(p).tobytes() == mean.tobytes()
-        assert model.predict_variance(p).tobytes() == var.tobytes()
-    assert [mean.shape for mean, _ in one_block] == [(1000,), (0,), (1,), (1,)]
+    assert [mean.shape for mean in one_block] == [(1000,), (0,), (1,), (1,)]
     block_rows.clear()
     model.predict_mean(probe)
     assert block_rows == [128] * 7 + [104]
+
+
+def test_fitted_model_holds_no_training_set_squared_array():
+    # the Monte Carlo pool shares the fitted model for the whole estimate, so
+    # its arrays must grow with n_train only linearly, not with the n x n
+    # correlation factor of the fit
+    rng = np.random.default_rng(16)
+    n, r = 300, 2
+    z = rng.uniform(-1, 1, size=(n, r))
+    model = fit_fixed_theta(z, np.sin(3 * z[:, 0]) * z[:, 1], np.array([2.0, 5.0]),
+                            small_config())
+    arrays = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)
+              if isinstance(getattr(model, f.name), np.ndarray)}
+    assert {"_zs", "_w_resid", "alpha"} <= arrays.keys()
+    assert all(a.size != n * n for a in arrays.values())
+    q = model.basis_map.shape[0]
+    assert q == 15
+    assert sum(a.nbytes for a in arrays.values()) <= 3 * 8 * n * (q + r)
 
 
 def test_surrogates_predict_a_chunk_bitwise_as_its_sample_blocks():
@@ -656,7 +635,7 @@ def test_surrogates_predict_a_chunk_bitwise_as_its_sample_blocks():
                          coefficients=rng.standard_normal(len(idx)), intercept=0.3,
                          loo=0.0)
     z = rng.uniform(-1, 1, size=(300, 2))
-    gp = fit(z, np.tanh(z[:, 0]) + 0.3 * z[:, 1] ** 2, small_config())
+    gp = fit_at_bound(z, np.tanh(z[:, 0]) + 0.3 * z[:, 1] ** 2, small_config())
     chunk = rng.uniform(-1, 1, size=(SAMPLE_CHUNK, dim))
     # the GP's gemm cross-kernel, whose last rows per call round differently,
     # is cut into several calls per sample block

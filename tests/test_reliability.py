@@ -150,7 +150,8 @@ def test_pool_size_does_not_change_estimates_or_scatter(monkeypatch, small_chunk
         monkeypatch.setattr(parallel, "usable_cores", lambda w=workers: w)
         mcs = mcs_probability(additive_plane_state(), model, n=10_500, seed=3)
         spce = spce_only_pipeline(training, cfg)
-        sas, art = sas_hpcfe_pipeline(training, cfg)
+        with pytest.warns(RuntimeWarning, match="optimization bound"):
+            sas, art = sas_hpcfe_pipeline(training, cfg)
         outcomes.append((mcs.pf, spce.pf, sas.pf, art.scatter.tobytes()))
         assert threading.active_count() == threads
         if workers == 1:
@@ -249,7 +250,8 @@ def additive_plane_state():
 def test_pipeline_recovers_analytic_pf():
     model = uniform_model(6)
     cfg = cheap_pipeline_config(n_train=64, p_max=2, n_mcs=100_000, seed=5)
-    res, art = sas_hpcfe_pipeline(fit_training(additive_plane_state(), model, cfg), cfg)
+    with pytest.warns(RuntimeWarning, match="optimization bound"):
+        res, art = sas_hpcfe_pipeline(fit_training(additive_plane_state(), model, cfg), cfg)
     sd = math.sqrt(0.32 * 0.68 / cfg.n_mcs)
     assert abs(res.pf - 0.32) <= 4 * sd
     assert res.r == 1
@@ -273,7 +275,8 @@ def test_pipeline_audits_model_eval_budget(monkeypatch, small_chunks):
     training = fit_training(LimitState("plane6", 6, g), model, cfg)
     assert calls["n"] == 48
     assert training.n_model_evals == 48
-    res, _ = sas_hpcfe_pipeline(training, cfg)
+    with pytest.warns(RuntimeWarning, match="optimization bound"):
+        res, _ = sas_hpcfe_pipeline(training, cfg)
     assert calls["n"] == 48
     assert res.n_model_evals == 48
     # direct Monte Carlo on a pool counts every row of every block
@@ -302,7 +305,8 @@ def test_pipeline_rank_grows_with_threshold():
     ranks = []
     for mu in (0.6, 0.999):
         cfg = cheap_pipeline_config(n_train=40, p_max=2, n_mcs=1000, seed=2, mu=mu)
-        res, _ = sas_hpcfe_pipeline(fit_training(ls, model, cfg), cfg)
+        with pytest.warns(RuntimeWarning, match="optimization bound"):
+            res, _ = sas_hpcfe_pipeline(fit_training(ls, model, cfg), cfg)
         ranks.append(res.r)
     assert ranks[0] <= ranks[1]
 
@@ -339,7 +343,8 @@ def test_pipelines_reject_nonfinite_surrogate_prediction(monkeypatch):
         return out
 
     monkeypatch.setattr(HpcfeModel, "predict_mean", predict_mean)
-    with pytest.raises(NumericalError, match="non-finite surrogate prediction at sample 5"):
+    with pytest.warns(RuntimeWarning, match="optimization bound"), \
+            pytest.raises(NumericalError, match="non-finite surrogate prediction at sample 5"):
         sas_hpcfe_pipeline(training, cfg)
 
 

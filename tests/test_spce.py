@@ -272,8 +272,8 @@ def test_qr_lar_path_matches_cholesky_lar(seed):
     assert [col for col, _ in path] == [col for col, _ in oracle]
     # both dependent candidates are skipped and every other column joins
     assert sorted(col for col, _ in path) == sorted(set(range(m)) - {9, 21})
-    for (_, r_qr), (_, r_chol) in zip(path, oracle):
-        np.testing.assert_allclose(r_qr, r_chol, rtol=0.0, atol=1e-10)
+    for (_, r_qr), (_, r_oracle) in zip(path, oracle):
+        np.testing.assert_allclose(r_qr, r_oracle, rtol=0.0, atol=1e-10)
 
 
 def test_fit_continues_past_dependent_candidates(monkeypatch):
