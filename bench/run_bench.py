@@ -1,13 +1,14 @@
-"""Stage-by-stage timing of the sasrel pipeline on registry studies.
+"""Stage-by-stage timing of the sasrel pipeline on the shipped benchmark studies.
 
     python3 bench/run_bench.py --label change --out BENCH_9.json sobol-m10 beam
     python3 bench/run_bench.py --src ../other-checkout/src --label parent \\
         --out BENCH_9.json sobol-m10 beam
 
-Each study runs ``RUNS`` times at its registry settings, each time in a fresh
-child interpreter, so that peak RSS (``ru_maxrss``) belongs to that run
-alone, with OpenBLAS pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is
-already set.  The study's record holds the median over its runs of every
+Each study runs ``RUNS`` times at the settings of its config,
+``configs/<name>.json`` in this checkout as read by the ``StudyConfig`` of
+the ``sasrel`` under test, each time in a fresh child interpreter, so that
+peak RSS (``ru_maxrss``) belongs to that run alone, with OpenBLAS pinned to
+one thread unless ``OPENBLAS_NUM_THREADS`` is already set.  The study's record holds the median over its runs of every
 stage time, of peak RSS and of the minor page faults (``ru_minflt``), and
 every run's own record under ``runs``.  The child imports ``sasrel`` from
 ``--src`` (default: this checkout's ``src``), calls the pipeline stages
@@ -27,8 +28,9 @@ fit and Monte Carlo).
 
 It also records each optimizer start as the fitted model records it
 (``HpcfeModel.starts``: start and end log10 theta, final log-likelihood, the
-evaluations it added to its process's memo, scipy's ``nfev``, which also
-counts the points the memo answered, wall seconds and process id), the
+distinct points at which it evaluated the likelihood, scipy's ``nfev``,
+which also counts the points the start's memo answered, wall seconds and
+process id), the
 number of processes that ran the starts (``fit_workers``), their summed
 seconds (``starts_s``), the likelihood evaluations (the starts' plus the
 final assembly's one) and the final log-likelihood.  The starts may run in
@@ -88,15 +90,17 @@ def _timed(fn, seconds: dict, key: str):
 
 
 def run_study(name: str, seed: int) -> dict:
-    """One registry study, stage by stage, in this interpreter."""
+    """One shipped study, stage by stage, in this interpreter."""
     import numpy as np
     import scipy
 
     from sasrel import hpcfe, reliability
-    from sasrel.benchmarks.registry import get_benchmark
+    from sasrel.benchmarks import get_benchmark
+    from sasrel.cli import StudyConfig
 
-    bench = get_benchmark(name)
-    cfg = replace(bench.pipeline, seed=seed)
+    study = StudyConfig.from_file(str(ROOT / "configs" / f"{name}.json"))
+    bench = get_benchmark(name, truncated=study.truncation)
+    cfg = replace(study.pipeline, seed=seed)
     seconds = dict.fromkeys(("subspace_s", "hpcfe_fit_s"), 0.0)
     hpcfe.fit = _timed(hpcfe.fit, seconds, "hpcfe_fit_s")
     reliability.subspace_from_surrogate = _timed(
@@ -113,7 +117,7 @@ def run_study(name: str, seed: int) -> dict:
         return out
 
     ref = stage("ref_mcs_s", reliability.mcs_probability, bench.limit_state,
-                bench.model, bench.mcs_n, seed)
+                bench.model, study.n_mcs, seed)
     training = stage("doe_lar_s", reliability.fit_training, bench.limit_state,
                      bench.model, cfg)
     spce = stage("spce_mcs_s", reliability.spce_only_pipeline, training, cfg)
@@ -164,7 +168,7 @@ def _cpu_model() -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("studies", nargs="+", help="registry study names")
+    ap.add_argument("studies", nargs="+", help="benchmark names, each with a config in configs/")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory that holds the sasrel package to time")
     ap.add_argument("--seed", type=int, default=5, help="Monte Carlo seed")

@@ -132,10 +132,6 @@ class ActiveSubspace:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "w1", w1)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def project(self, x: np.ndarray) -> np.ndarray:
         return project(self.w1, x)
 

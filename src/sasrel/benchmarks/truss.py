@@ -61,10 +61,6 @@ class TrussGeometry:
             if not 0 <= node < n or axis not in (0, 1, 2) or sign not in (-1.0, 1.0):
                 raise ParameterError(f"bad load placement for {label}")
 
-    @property
-    def n_free(self) -> int:
-        return 3 * self.nodes.shape[0] - len(set(self.supports))
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrussGeometry":
         loads = []

@@ -4,7 +4,8 @@
 benchmark (or a user plugin) and writes CSV tables plus serialized surrogate
 models into the output directory.  ``report`` pretty-prints a results
 directory.  Exit codes: 0 success, 2 configuration error (config, geometry
-file, a setting or the limit state's output shape), 3 numerical error.
+file, a setting, the limit state's output shape or its input domain),
+3 numerical error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
 from .benchmarks.truss import TrussGeometry, truss_state
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, DomainError, NumericalError, ParameterError
 from .hpcfe import HpcfeConfig
 from .probspace import ProbabilisticModel
 from .reliability import (
@@ -65,8 +66,8 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _hpcfe_config(block, base: HpcfeConfig) -> HpcfeConfig:
-    """``base`` with the keys set in a config's ``hpcfe`` object."""
+def _hpcfe_config(block) -> HpcfeConfig:
+    """A config's ``hpcfe`` object as an ``HpcfeConfig``; omitted keys take its defaults."""
     if not isinstance(block, dict):
         raise ConfigError("'hpcfe' must be an object")
     extra = set(block) - {f.name for f in fields(HpcfeConfig)}
@@ -85,7 +86,7 @@ def _hpcfe_config(block, base: HpcfeConfig) -> HpcfeConfig:
             raise ConfigError("hpcfe: 'theta_bounds' must be a list of two numbers")
         block = {**block, "theta_bounds": tuple(bounds)}
     try:
-        return replace(base, **block)
+        return HpcfeConfig(**block)
     except ParameterError as exc:
         raise ConfigError(f"hpcfe: {exc}")
 
@@ -150,6 +151,8 @@ class StudyConfig:
         geometry_file = raw.get("geometry_file")
         if geometry_file is not None and not Path(geometry_file).is_file():
             raise ConfigError(f"geometry file not found: {geometry_file}")
+        if geometry_file is not None and benchmark != "truss":
+            raise ConfigError("geometry_file is only valid for the truss benchmark")
 
         methods = raw.get("methods", ["mcs"])
         if not isinstance(methods, list) or not methods:
@@ -162,11 +165,12 @@ class StudyConfig:
         truncation = raw.get("truncation")
         if truncation is not None and not isinstance(truncation, bool):
             raise ConfigError("'truncation' must be true or false")
+        if truncation and benchmark != "beam":
+            raise ConfigError("'truncation' is only valid for the beam benchmark")
 
-        if benchmark is None:  # a benchmark config takes the registry's values
-            for key in ("n_train", "p_max", "n_mcs", "n_mcs_surrogate"):
-                if key not in raw:
-                    raise ConfigError(f"missing required key '{key}'")
+        for key in ("n_train", "p_max", "n_mcs", "n_mcs_surrogate"):
+            if key not in raw:
+                raise ConfigError(f"missing required key '{key}'")
         for key, minimum in (("n_train", 3), ("p_max", 1), ("n_mcs", 1),
                              ("n_mcs_surrogate", 1), ("seed", 0)):
             if key in raw and not (_is_int(raw[key]) and raw[key] >= minimum):
@@ -178,22 +182,17 @@ class StudyConfig:
         if "mu" in raw and not (_is_number(raw["mu"]) and 0.0 < raw["mu"] < 1.0):
             raise ConfigError("'mu' must lie strictly between 0 and 1")
 
-        bench = get_benchmark(benchmark) if benchmark is not None else None
-        overrides = {field: raw[key] for key, field in PIPELINE_KEYS.items()
-                     if key in raw}
+        settings = {field: raw[key] for key, field in PIPELINE_KEYS.items()
+                    if key in raw}
         if "hpcfe" in raw:
-            overrides["hpcfe_config"] = _hpcfe_config(
-                raw["hpcfe"], bench.pipeline.hpcfe_config if bench else HpcfeConfig())
+            settings["hpcfe_config"] = _hpcfe_config(raw["hpcfe"])
         try:
-            pipeline = (replace(bench.pipeline, **overrides) if bench
-                        else PipelineConfig(**overrides))
+            pipeline = PipelineConfig(**settings)
         except ParameterError as exc:
             raise ConfigError(str(exc))
         out_dir = raw.get("out_dir")
         return cls(benchmark=benchmark, plugin=plugin, methods=tuple(methods),
-                   pipeline=pipeline,
-                   n_mcs=raw["n_mcs"] if "n_mcs" in raw else bench.mcs_n,
-                   truncation=bool(truncation),
+                   pipeline=pipeline, n_mcs=raw["n_mcs"], truncation=bool(truncation),
                    out_dir=Path("results" if out_dir is None else out_dir),
                    geometry_file=geometry_file)
 
@@ -230,8 +229,6 @@ def _resolve_problem(cfg: StudyConfig) -> tuple[LimitState, ProbabilisticModel]:
     bench = get_benchmark(cfg.benchmark, truncated=cfg.truncation)
     state, model = bench.limit_state, bench.model
     if cfg.geometry_file is not None:
-        if cfg.benchmark != "truss":
-            raise ConfigError("geometry_file is only valid for the truss benchmark")
         try:
             geometry = TrussGeometry.from_file(cfg.geometry_file)
         except KeyError as exc:
@@ -290,11 +287,12 @@ def run_study(cfg: StudyConfig) -> int:
                     res = spce_only_pipeline(training, cfg.pipeline)
                 else:
                     res, artifacts = sas_hpcfe_pipeline(training, cfg.pipeline)
-        except (ParameterError, DimensionError, NumericalError,
+        except (ParameterError, DimensionError, DomainError, NumericalError,
                 np.linalg.LinAlgError) as exc:
             print(f"error: {method} failed: {exc}", file=sys.stderr)
             _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-            return 2 if isinstance(exc, (ParameterError, DimensionError)) else 3
+            return 2 if isinstance(exc, (ParameterError, DimensionError,
+                                         DomainError)) else 3
         rows.append(_result_row(res, beta_ref))
         _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
         if artifacts is not None:

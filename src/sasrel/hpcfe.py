@@ -169,9 +169,10 @@ def _rescale(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 class StartRecord:
     """One Nelder-Mead start of ``fit``, in log10 theta.
 
-    ``evals`` counts the likelihood evaluations the start added to the memo
-    of the process that ran it (``pid``); scipy's ``nfev`` also counts the
-    points the memo answered.  ``seconds`` is the start's wall time.
+    ``evals`` counts the distinct points at which the start evaluated the
+    likelihood; scipy's ``nfev`` also counts the points the start's memo
+    answered.  Both depend only on the start, not on the process that ran it
+    (``pid``) or on the other starts.  ``seconds`` is the start's wall time.
     """
 
     start_log_theta: tuple[float, ...]
@@ -340,10 +341,10 @@ class _Search:
     max_evals: int
 
 
-def _one_start(search: _Search, memo: dict[bytes, float], x0: np.ndarray) -> StartRecord:
+def _one_start(search: _Search, x0: np.ndarray) -> StartRecord:
     """Bounded Nelder-Mead on the negative log-likelihood from ``x0`` (log10 theta).
 
-    ``memo`` maps each log theta this process evaluated to its negative
+    The start's own memo maps each log theta it evaluated to its negative
     log-likelihood (inf where non-finite): bounded Nelder-Mead can ask again
     for a point it clipped to a bound.  The initial simplex moves one
     coordinate per vertex to 1.05 times its value, as scipy does, but a
@@ -352,7 +353,7 @@ def _one_start(search: _Search, memo: dict[bytes, float], x0: np.ndarray) -> Sta
     box centre) in every dimension.
     """
     t0 = time.perf_counter()
-    before = len(memo)
+    memo: dict[bytes, float] = {}
 
     def neg_ll(log_theta: np.ndarray) -> float:
         log_theta = np.asarray(log_theta, dtype=float)
@@ -373,23 +374,22 @@ def _one_start(search: _Search, memo: dict[bytes, float], x0: np.ndarray) -> Sta
                    options={"maxfev": search.max_evals, "xatol": 1e-3, "fatol": 1e-4,
                             "initial_simplex": simplex})
     return StartRecord(start_log_theta=tuple(x0.tolist()), log_theta=tuple(res.x.tolist()),
-                       ll=-float(res.fun), evals=len(memo) - before, nfev=int(res.nfev),
+                       ll=-float(res.fun), evals=len(memo), nfev=int(res.nfev),
                        seconds=time.perf_counter() - t0, pid=os.getpid())
 
 
-# The search and memo of a pool worker process, set once by ``_start_worker``
-# when the process starts; never set in the process that calls ``fit``.
+# The search of a pool worker process, set once by ``_start_worker`` when the
+# process starts; never set in the process that calls ``fit``.
 _worker_search: _Search | None = None
-_worker_memo: dict[bytes, float] = {}
 
 
 def _start_worker(search: _Search) -> None:
-    global _worker_search, _worker_memo
-    _worker_search, _worker_memo = search, {}
+    global _worker_search
+    _worker_search = search
 
 
 def _pooled_start(x0: np.ndarray) -> StartRecord:
-    return _one_start(_worker_search, _worker_memo, x0)
+    return _one_start(_worker_search, x0)
 
 
 def _fit_workers(starts: int) -> int:
@@ -406,18 +406,17 @@ def _run_starts(search: _Search, starts: np.ndarray) -> list[StartRecord]:
     """Every start's record, in start order.
 
     The starts are independent, so they run on a pool of ``_fit_workers``
-    forked processes, each with its own memo.  Forking shares the training
-    data with the workers without pickling it; the pool forks all of its
-    workers before it starts its own threads.  With one worker, without the
-    fork start method, or while other threads run (a fork copies only the
-    calling thread, and a lock another thread holds stays held in the
-    child), the starts run here, one after the other, with one memo.
+    forked processes.  Forking shares the training data with the workers
+    without pickling it; the pool forks all of its workers before it starts
+    its own threads.  With one worker, without the fork start method, or
+    while other threads run (a fork copies only the calling thread, and a
+    lock another thread holds stays held in the child), the starts run here,
+    one after the other.
     """
     workers = _fit_workers(len(starts))
     if workers == 1 or threading.active_count() > 1 \
             or "fork" not in multiprocessing.get_all_start_methods():
-        memo: dict[bytes, float] = {}
-        return [_one_start(search, memo, x0) for x0 in starts]
+        return [_one_start(search, x0) for x0 in starts]
     pool = multiprocessing.get_context("fork").Pool(
         workers, initializer=_start_worker, initargs=(search,))
     try:

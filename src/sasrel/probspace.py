@@ -131,15 +131,6 @@ class Marginal:
             return float(ndtr(z))
         return float(np.exp(-np.exp(-z)))
 
-    def support(self) -> tuple[float, float]:
-        if self.truncation is not None:
-            return self.truncation
-        if self.kind == "uniform":
-            return (self.lo, self.hi)
-        if self.kind == "lognormal":
-            return (0.0, math.inf)
-        return (-math.inf, math.inf)
-
     def ppf(self, u):
         """Inverse CDF, renormalized over the truncation interval.
 

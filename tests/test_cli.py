@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 
 from sasrel import cli, reliability
-from sasrel.benchmarks import BENCHMARK_NAMES, get_benchmark
+from sasrel.benchmarks import BENCHMARK_NAMES
 from sasrel.cli import StudyConfig, main
-from sasrel.reliability import CountingLimitState
+from sasrel.hpcfe import HpcfeConfig
+from sasrel.reliability import CountingLimitState, PipelineConfig
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 HOOKS_FILE = pathlib.Path(__file__).resolve().parents[1] / "studybench" / "hooks.py"
+TRUSS_GEOMETRY = str(SRC_DIR / "sasrel/benchmarks/data/truss25.json")
 
 FAST_STUDY = {
     "benchmark": "sobol-m10",
@@ -45,6 +47,20 @@ def get_limit_state():
 
 def get_model():
     return ProbabilisticModel([Marginal("uniform", 0.0, 1.0)] * 3)
+"""
+
+NORMAL_G_SOURCE = """\
+import numpy as np
+from sasrel.benchmarks.gfunction import sobol_g
+from sasrel.probspace import Marginal, ProbabilisticModel
+from sasrel.reliability import LimitState
+
+def get_limit_state():
+    return LimitState(name="normal-g", dim=3,
+                      fn=lambda x: sobol_g(x, np.zeros(3), 1.0))
+
+def get_model():
+    return ProbabilisticModel([Marginal("normal", mean=0.5, sd=1.0)] * 3)
 """
 
 
@@ -189,6 +205,8 @@ def test_scatter_has_reduced_coordinates_and_labels(tmp_path):
     ({"hpcfe": {"nugget": True}}, "hpcfe: 'nugget' must be a number"),
     ({"methods": ["mcs", "mcs"]}, "'methods' names a method more than once"),
     ({"hpcfe": {"nm_max_evals": 0}}, "hpcfe: likelihood evaluation cap must be >= 1"),
+    ({"truncation": True}, "'truncation' is only valid for the beam benchmark"),
+    ({"geometry_file": TRUSS_GEOMETRY}, "geometry_file is only valid for the truss benchmark"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, overrides, fragment):
     cfg_path, _ = write_config(tmp_path, overrides)
@@ -220,6 +238,16 @@ def test_plugin_problem_runs(tmp_path):
     pf = float(read_results(out)[0]["pf"])
     # P(x1 + x2 < 1/2) = 1/8 for independent U(0, 1)
     assert pf == pytest.approx(0.125, abs=0.01)
+
+
+@pytest.mark.parametrize("key, value, fragment", [
+    ("truncation", True, "'truncation' is only valid for the beam benchmark"),
+    ("geometry_file", TRUSS_GEOMETRY, "geometry_file is only valid for the truss benchmark"),
+], ids=["truncation", "geometry-file"])
+def test_plugin_with_a_benchmark_only_key_exits_2(tmp_path, capsys, key, value, fragment):
+    cfg_path, _ = write_config(tmp_path, base=plugin_study(tmp_path, **{key: value}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_plugin_missing_hook_exits_2(tmp_path, capsys):
@@ -294,11 +322,26 @@ def test_malformed_geometry_file_exits_2(tmp_path, capsys, defect, fragment):
     geometry.write_text(text)
     cfg_path, _ = write_config(tmp_path, base={
         "benchmark": "truss", "methods": ["mcs"], "n_mcs": 100,
+        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100,
         "geometry_file": str(geometry)})
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert f"error: geometry file {geometry}:" in err
     assert fragment in err
+
+
+def test_limit_state_outside_its_domain_exits_2_and_keeps_partial_results(
+        tmp_path, capsys):
+    # the g-function takes inputs in [0, 1]; normal marginals leave that cube
+    plugin = tmp_path / "normal_g.py"
+    plugin.write_text(NORMAL_G_SOURCE)
+    cfg_path, out = write_config(tmp_path, base={
+        "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
+        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "error: mcs failed: inputs must lie in the unit hypercube" \
+        in capsys.readouterr().err
+    assert read_results(out) == []
 
 
 def test_numerical_failure_exits_3_and_keeps_partial_results(tmp_path, capsys):
@@ -415,27 +458,22 @@ def test_shipped_configs_are_loadable():
         assert set(cfg.methods) == {"mcs", "spce", "sas-hpcfe"}
 
 
-@pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_benchmark_configs_load_the_registry_settings(tmp_path, name):
-    bench = get_benchmark(name)
-    bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps({"benchmark": name, "methods": ["mcs", "spce"]}))
-    # the shipped config spells out every setting; the bare one sets none
-    for path in (CONFIG_DIR / f"{name}.json", bare):
-        cfg = StudyConfig.from_file(str(path))
-        assert cfg.pipeline == bench.pipeline
-        assert cfg.n_mcs == bench.mcs_n
+def test_bare_benchmark_config_exits_2(tmp_path, capsys):
+    # a benchmark names the problem only; its settings are not filled in
+    cfg_path, _ = write_config(tmp_path, base={"benchmark": "sobol-m10",
+                                               "methods": ["mcs", "spce"]})
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "missing required key 'n_train'" in capsys.readouterr().err
 
 
 def test_config_keys_override_the_registry(tmp_path):
+    # every key the config sets reaches the pipeline; the rest are defaults
     cfg_path, _ = write_config(tmp_path, {"mu": 0.9, "n_grad_samples": 40})
     cfg = StudyConfig.from_file(str(cfg_path))
-    registry = get_benchmark("sobol-m10").pipeline
-    assert cfg.pipeline == dataclasses.replace(
-        registry, n_train=250, p_max=3, lar_max_terms=25, n_mcs=20000, seed=3,
+    assert cfg.pipeline == PipelineConfig(
+        n_train=250, p_max=3, lar_max_terms=25, n_mcs=20000, seed=3,
         mu=0.9, n_grad_samples=40,
-        hpcfe_config=dataclasses.replace(registry.hpcfe_config, restarts=2,
-                                         nm_max_evals=60))
+        hpcfe_config=HpcfeConfig(M=2, b=3, restarts=2, nm_max_evals=60))
     assert cfg.n_mcs == 20000
 
 

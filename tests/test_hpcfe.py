@@ -250,6 +250,31 @@ def test_initial_simplex_steps_zero_coordinates_by_a_share_of_the_log_box(monkey
                           [nonzero[0], 1.05 * nonzero[1]]])
 
 
+def test_each_start_counts_the_points_it_asked_for(monkeypatch):
+    # noise data: every start ends on the lower bound, where starts ask for
+    # the same point; a start's count does not depend on the starts before it
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-1, 1, size=(20, 1))
+    y = rng.normal(size=20)
+    requested = []  # per start, the points its optimizer asked for
+    minimize = hpcfe.minimize
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)  # starts run here
+
+    def recording_minimize(fun, x0, **kwargs):
+        asked = []
+        requested.append(asked)
+
+        def recorded(x):
+            asked.append(np.asarray(x, dtype=float).tobytes())
+            return fun(x)
+        return minimize(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(hpcfe, "minimize", recording_minimize)
+    model = fit_at_bound(z, y, small_config(restarts=3))
+    assert set(requested[0]) & set(requested[2])
+    assert [s.evals for s in model.starts] == [len(set(a)) for a in requested]
+
+
 @pytest.fixture
 def two_fit_workers(monkeypatch):
     """Two cores with one BLAS thread each: ``fit`` forks two workers.
@@ -293,8 +318,9 @@ def test_pooled_fit_bitwise_equals_inline_fit(monkeypatch, two_fit_workers):
     assert pooled.to_json() == inline.to_json()
     probe = np.random.default_rng(5).uniform(-1.2, 1.2, size=(50, 2))
     assert pooled.predict_mean(probe).tobytes() == inline.predict_mean(probe).tobytes()
-    assert [(s.start_log_theta, s.log_theta, s.ll, s.nfev) for s in pooled.starts] == \
-        [(s.start_log_theta, s.log_theta, s.ll, s.nfev) for s in inline.starts]
+    # each start has its own memo, so its record does not depend on where it ran
+    assert [dataclasses.replace(s, seconds=0.0, pid=0) for s in pooled.starts] == \
+        [dataclasses.replace(s, seconds=0.0, pid=0) for s in inline.starts]
 
 
 def test_fit_leaves_no_child_process(monkeypatch, two_fit_workers):
