@@ -6,7 +6,8 @@
 
 Each study runs ``RUNS`` times at the settings of its config,
 ``configs/<name>.json`` in this checkout as read by the ``StudyConfig`` of
-the ``sasrel`` under test, each time in a fresh child interpreter, so that
+the ``sasrel`` under test (so a ``--src`` whose config keys differ from this
+checkout's must be timed by its own checkout's script), each time in a fresh child interpreter, so that
 peak RSS (``ru_maxrss``) belongs to that run alone, with OpenBLAS pinned to
 one thread unless ``OPENBLAS_NUM_THREADS`` is already set.  The study's record holds the median over its runs of every
 stage time, of peak RSS and of the minor page faults (``ru_minflt``), and
@@ -14,7 +15,8 @@ every run's own record under ``runs``.  The child imports ``sasrel`` from
 ``--src`` (default: this checkout's ``src``), calls the pipeline stages
 directly, as ``sasrel run`` does, and times them:
 
-- ``ref_mcs_s``: the reference Monte Carlo on the true model
+- ``ref_mcs_s``: the reference Monte Carlo on the true model, on the same
+  ``n_mcs`` draws of the seed stream as the two surrogate Monte Carlo stages
 - ``doe_lar_s``: the Sobol training design and the LAR fit
 - ``spce_mcs_s``: the Monte Carlo on the sparse expansion
 - ``subspace_s``: the active subspace from the expansion's gradients
@@ -117,7 +119,7 @@ def run_study(name: str, seed: int) -> dict:
         return out
 
     ref = stage("ref_mcs_s", reliability.mcs_probability, bench.limit_state,
-                bench.model, study.n_mcs, seed)
+                bench.model, cfg.n_mcs, seed)
     training = stage("doe_lar_s", reliability.fit_training, bench.limit_state,
                      bench.model, cfg)
     spce = stage("spce_mcs_s", reliability.spce_only_pipeline, training, cfg)

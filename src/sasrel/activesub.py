@@ -145,18 +145,16 @@ class ActiveSubspace:
         }, indent=2)
 
 
-def subspace_from_surrogate(model, mu: float, n_grad_samples: int | None = None,
-                            skip: int = 0) -> ActiveSubspace:
+def subspace_from_surrogate(model, mu: float, skip: int = 0) -> ActiveSubspace:
     """Identify the active subspace of a fitted expansion.
 
-    Gradient samples are fresh Sobol points (``skip`` past the start of the
-    sequence, so a training design occupying the first points is not reused);
-    default sample count is 10 per input dimension.  Surrogate gradients are
-    analytic, so no true-model evaluations are spent here.
+    Gradient samples are 10 per input dimension, fresh Sobol points (``skip``
+    past the start of the sequence, so a training design occupying the first
+    points is not reused).  Surrogate gradients are analytic, so no
+    true-model evaluations are spent here.
     """
     dim = model.dim
-    if n_grad_samples is None:
-        n_grad_samples = 10 * dim
+    n_grad_samples = 10 * dim
     pts = 2.0 * sobol_points(n_grad_samples, dim, skip=skip) - 1.0
     c = estimate_c(model.gradient, pts)
     vec, lam = eigendecompose(c)

@@ -50,10 +50,9 @@ PIPELINE_KEYS = {
     "n_train": "n_train",
     "p_max": "p_max",
     "mu": "mu",
-    "n_mcs_surrogate": "n_mcs",
+    "n_mcs": "n_mcs",
     "seed": "seed",
     "max_terms": "lar_max_terms",
-    "n_grad_samples": "n_grad_samples",
     "hpcfe": "hpcfe_config",
 }
 
@@ -79,12 +78,6 @@ def _hpcfe_config(block) -> HpcfeConfig:
             raise ConfigError(f"hpcfe: '{key}' must be an integer")
     if "nugget" in block and not _is_number(block["nugget"]):
         raise ConfigError("hpcfe: 'nugget' must be a number")
-    if "theta_bounds" in block:
-        bounds = block["theta_bounds"]
-        if not (isinstance(bounds, list) and len(bounds) == 2
-                and all(map(_is_number, bounds))):
-            raise ConfigError("hpcfe: 'theta_bounds' must be a list of two numbers")
-        block = {**block, "theta_bounds": tuple(bounds)}
     try:
         return HpcfeConfig(**block)
     except ParameterError as exc:
@@ -95,21 +88,20 @@ def _hpcfe_config(block) -> HpcfeConfig:
 class StudyConfig:
     """One study: its problem, its methods and the settings they run with.
 
-    ``pipeline`` carries the study seed and every surrogate setting; ``n_mcs``
-    is the sample size of the reference ``mcs`` method.
+    ``pipeline`` carries the study seed, the Monte Carlo sample size of every
+    method and every surrogate setting.
     """
 
     benchmark: str | None
     plugin: str | None
     methods: tuple[str, ...]
     pipeline: PipelineConfig
-    n_mcs: int
     truncation: bool
     out_dir: Path
     geometry_file: str | None = None
 
     _KNOWN_KEYS = {
-        "benchmark", "plugin", "methods", "n_mcs", "truncation", "out_dir",
+        "benchmark", "plugin", "methods", "truncation", "out_dir",
         "geometry_file", *PIPELINE_KEYS,
     }
 
@@ -168,19 +160,17 @@ class StudyConfig:
         if truncation and benchmark != "beam":
             raise ConfigError("'truncation' is only valid for the beam benchmark")
 
-        for key in ("n_train", "p_max", "n_mcs", "n_mcs_surrogate"):
+        # types only: PipelineConfig and HpcfeConfig check the ranges
+        for key in ("n_train", "p_max", "n_mcs"):
             if key not in raw:
                 raise ConfigError(f"missing required key '{key}'")
-        for key, minimum in (("n_train", 3), ("p_max", 1), ("n_mcs", 1),
-                             ("n_mcs_surrogate", 1), ("seed", 0)):
-            if key in raw and not (_is_int(raw[key]) and raw[key] >= minimum):
-                raise ConfigError(f"'{key}' must be an integer >= {minimum}")
-        for key in ("max_terms", "n_grad_samples"):
-            v = raw.get(key)
-            if v is not None and not (_is_int(v) and v >= 1):
-                raise ConfigError(f"'{key}' must be a positive integer or null")
-        if "mu" in raw and not (_is_number(raw["mu"]) and 0.0 < raw["mu"] < 1.0):
-            raise ConfigError("'mu' must lie strictly between 0 and 1")
+        for key in ("n_train", "p_max", "n_mcs", "seed"):
+            if key in raw and not _is_int(raw[key]):
+                raise ConfigError(f"'{key}' must be an integer")
+        if raw.get("max_terms") is not None and not _is_int(raw["max_terms"]):
+            raise ConfigError("'max_terms' must be a positive integer or null")
+        if "mu" in raw and not _is_number(raw["mu"]):
+            raise ConfigError("'mu' must be a number")
 
         settings = {field: raw[key] for key, field in PIPELINE_KEYS.items()
                     if key in raw}
@@ -192,7 +182,7 @@ class StudyConfig:
             raise ConfigError(str(exc))
         out_dir = raw.get("out_dir")
         return cls(benchmark=benchmark, plugin=plugin, methods=tuple(methods),
-                   pipeline=pipeline, n_mcs=raw["n_mcs"], truncation=bool(truncation),
+                   pipeline=pipeline, truncation=bool(truncation),
                    out_dir=Path("results" if out_dir is None else out_dir),
                    geometry_file=geometry_file)
 
@@ -277,7 +267,8 @@ def run_study(cfg: StudyConfig) -> int:
         artifacts = None  # only sas-hpcfe has intermediate models to write
         try:
             if method == "mcs":
-                res = mcs_probability(state, model, n=cfg.n_mcs, seed=cfg.pipeline.seed)
+                res = mcs_probability(state, model, n=cfg.pipeline.n_mcs,
+                                      seed=cfg.pipeline.seed)
                 beta_ref = res.beta
             else:
                 if training is None:
@@ -369,10 +360,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = Path(args.out)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
             cfg.pipeline = replace(cfg.pipeline, seed=args.seed)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

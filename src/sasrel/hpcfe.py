@@ -33,6 +33,7 @@ from .polybasis import BasisSet, eval_design_matrix, row_blocks
 from .probspace import sobol_points
 
 _NUGGET_RETRIES = 3
+THETA_BOUNDS = (1e-2, 1e2)  # box of every length scale that ``fit`` searches
 _ZERO_STEP = 0.025  # simplex step at log theta = 0, as a share of the log box
 
 
@@ -48,7 +49,6 @@ class HpcfeConfig:
     M: int = 2
     b: int = 3
     nugget: float = 1e-8
-    theta_bounds: tuple[float, float] = (1e-2, 1e2)
     restarts: int = 8
     nm_max_evals: int | None = None  # per-start likelihood evaluation cap
 
@@ -57,9 +57,6 @@ class HpcfeConfig:
             raise ParameterError("interaction order and degree must be >= 1")
         if self.nugget <= 0.0:
             raise ParameterError("nugget must be positive")
-        lo, hi = self.theta_bounds
-        if not 0.0 < lo < hi:
-            raise ParameterError("length-scale bounds must be positive and ordered")
         if self.restarts < 1:
             raise ParameterError("need at least one optimizer start")
         if self.nm_max_evals is not None and self.nm_max_evals < 1:
@@ -442,8 +439,7 @@ def fit(z: np.ndarray, y: np.ndarray, config: HpcfeConfig = HpcfeConfig()) -> Hp
     """
     data = _training_data(z, y, config)
     r = data.z.shape[1]
-    lo, hi = config.theta_bounds
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
+    log_lo, log_hi = map(math.log10, THETA_BOUNDS)
     starts = log_lo + (log_hi - log_lo) * sobol_points(config.restarts, r)
     search = _Search(data=data, nugget=config.nugget, log_lo=log_lo, log_hi=log_hi,
                      max_evals=config.nm_max_evals or (60 + 40 * r))

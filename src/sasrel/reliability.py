@@ -191,9 +191,11 @@ def mcs_probability(limit_state, model: ProbabilisticModel, n: int,
 class PipelineConfig:
     """Settings for the reduced-surrogate pipeline.
 
-    ``n_train`` is the entire true-model budget.  ``n_grad_samples`` of None
-    means 10 per input dimension.  ``lar_max_terms`` caps the regression path
-    on very large candidate sets; None leaves the standard path bound.
+    ``n_train`` is the entire true-model budget.  Every Monte Carlo estimator
+    of a study, the reference ``mcs_probability`` included, samples the same
+    ``n_mcs`` draws of the ``seed`` stream, so the estimates are paired.
+    ``lar_max_terms`` caps the regression path on very large candidate sets;
+    None leaves the standard path bound.
     """
 
     n_train: int
@@ -202,18 +204,21 @@ class PipelineConfig:
     mu: float = 0.98
     seed: int = 0
     hpcfe_config: hp.HpcfeConfig = field(default_factory=hp.HpcfeConfig)
-    n_grad_samples: int | None = None
     lar_max_terms: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_train < 3:
             raise ParameterError("training budget must be at least 3")
+        if self.p_max < 1:
+            raise ParameterError("candidate degree p_max must be >= 1")
         if self.n_mcs < 1:
             raise ParameterError("Monte-Carlo sample size must be positive")
         if not 0.0 < self.mu < 1.0:
             raise ParameterError("subspace threshold must lie in (0, 1)")
-        if any(v is not None and v < 1 for v in (self.n_grad_samples, self.lar_max_terms)):
-            raise ParameterError("n_grad_samples and lar_max_terms must be None or >= 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
+        if self.lar_max_terms is not None and self.lar_max_terms < 1:
+            raise ParameterError("lar_max_terms must be None or >= 1")
 
 
 @dataclass(frozen=True)
@@ -276,7 +281,6 @@ def sas_hpcfe_pipeline(training: Training,
     """
     model = training.model
     subspace = subspace_from_surrogate(training.spce_model, config.mu,
-                                       n_grad_samples=config.n_grad_samples,
                                        skip=training.xi.shape[0])
     if subspace.r == model.dim:
         warnings.warn("no dimension reduction: subspace rank equals input dimension",

@@ -50,8 +50,8 @@ def study_config(name):
 def reference_mcs(name):
     bench = get_benchmark(name)
     t0 = time.perf_counter()
-    res = mcs_probability(bench.limit_state, bench.model, n=study_config(name).n_mcs,
-                          seed=0)
+    res = mcs_probability(bench.limit_state, bench.model,
+                          n=study_config(name).pipeline.n_mcs, seed=0)
     return res, time.perf_counter() - t0
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -31,7 +32,6 @@ FAST_STUDY = {
     "p_max": 3,
     "max_terms": 25,
     "n_mcs": 20000,
-    "n_mcs_surrogate": 20000,
     "seed": 3,
     "hpcfe": {"M": 2, "b": 3, "restarts": 2, "nm_max_evals": 60},
 }
@@ -69,8 +69,8 @@ def plugin_study(tmp_path, **overrides):
     plugin = tmp_path / "plane.py"
     plugin.write_text(PLUGIN_SOURCE)
     study = {"plugin": str(plugin), "methods": ["mcs", "spce", "sas-hpcfe"],
-             "n_mcs": 5000, "n_train": 64, "p_max": 2, "n_mcs_surrogate": 5000,
-             "seed": 5, "hpcfe": {"restarts": 1, "nm_max_evals": 40}}
+             "n_mcs": 5000, "n_train": 64, "p_max": 2, "seed": 5,
+             "hpcfe": {"restarts": 1, "nm_max_evals": 40}}
     study.update(overrides)
     return study
 
@@ -196,21 +196,27 @@ def test_scatter_has_reduced_coordinates_and_labels(tmp_path):
     ({"hpcfe": {"restarts": 0}}, None),
     ({"surprise_key": 1}, None),
     ({"hpcfe": {"kernel": "anisotropic-squared-exponential"}}, "unknown hpcfe keys: kernel"),
-    ({"hpcfe": {"theta_bounds": 5}}, "'theta_bounds' must be a list of two numbers"),
+    ({"hpcfe": {"theta_bounds": [1e-3, 1e2]}}, "unknown hpcfe keys: theta_bounds"),
     ({"truncation": "no"}, "'truncation' must be true or false"),
     ({"out_dir": 5}, "'out_dir' must be a string"),
     ({"max_terms": True}, "'max_terms' must be a positive integer"),
-    ({"n_grad_samples": True}, "'n_grad_samples' must be a positive integer"),
+    ({"n_grad_samples": 40}, "unknown config keys: n_grad_samples"),
     ({"hpcfe": {"restarts": True}}, "hpcfe: 'restarts' must be an integer"),
     ({"hpcfe": {"nugget": True}}, "hpcfe: 'nugget' must be a number"),
     ({"methods": ["mcs", "mcs"]}, "'methods' names a method more than once"),
     ({"hpcfe": {"nm_max_evals": 0}}, "hpcfe: likelihood evaluation cap must be >= 1"),
     ({"truncation": True}, "'truncation' is only valid for the beam benchmark"),
     ({"geometry_file": TRUSS_GEOMETRY}, "geometry_file is only valid for the truss benchmark"),
+    ({"n_mcs_surrogate": 20000}, "unknown config keys: n_mcs_surrogate"),
+    ({"p_max": 0}, "candidate degree p_max must be >= 1"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    (["--seed", "-1"], "seed must be nonnegative"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, overrides, fragment):
-    cfg_path, _ = write_config(tmp_path, overrides)
-    assert main(["run", "--config", str(cfg_path)]) == 2
+    # a list holds command-line flags for the valid FAST_STUDY config
+    flags = overrides if isinstance(overrides, list) else []
+    cfg_path, _ = write_config(tmp_path, None if flags else overrides)
+    assert main(["run", "--config", str(cfg_path), *flags]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert fragment is None or fragment in err
@@ -228,12 +234,23 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_surrogate_estimates_are_paired_with_the_reference(tmp_path):
+    # every method samples the same n_mcs draws of the seed stream, so the
+    # expansion, exact for this linear limit state, counts the same failures
+    cfg_path, out = write_config(tmp_path, base=plugin_study(
+        tmp_path, methods=["mcs", "spce"], n_mcs=20000))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    mcs, spce = read_results(out)
+    assert spce["pf"] == mcs["pf"]
+    assert float(spce["eps_vs_mcs_pct"]) == 0.0
+
+
 def test_plugin_problem_runs(tmp_path):
     plugin = tmp_path / "plane.py"
     plugin.write_text(PLUGIN_SOURCE)
     cfg_path, out = write_config(tmp_path, base={
         "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 50000,
-        "n_train": 64, "p_max": 2, "n_mcs_surrogate": 1000, "seed": 5})
+        "n_train": 64, "p_max": 2, "seed": 5})
     assert main(["run", "--config", str(cfg_path)]) == 0
     pf = float(read_results(out)[0]["pf"])
     # P(x1 + x2 < 1/2) = 1/8 for independent U(0, 1)
@@ -255,7 +272,7 @@ def test_plugin_missing_hook_exits_2(tmp_path, capsys):
     plugin.write_text("def get_limit_state():\n    return 1\n")
     cfg_path, _ = write_config(tmp_path, base={
         "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
-        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+        "n_train": 8, "p_max": 1})
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "get_model" in capsys.readouterr().err
 
@@ -270,7 +287,7 @@ def test_plugin_that_fails_to_load_exits_2(tmp_path, capsys, source, fragment):
     plugin.write_text(source)
     cfg_path, _ = write_config(tmp_path, base={
         "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
-        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+        "n_train": 8, "p_max": 1})
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: plugin {plugin}: ")
@@ -282,7 +299,7 @@ def test_plugin_output_of_wrong_length_exits_2(tmp_path, capsys):
     plugin.write_text(PLUGIN_SOURCE.replace("x[:, 0] + x[:, 1] - 0.5", "np.ones(3)"))
     cfg_path, out = write_config(tmp_path, base={
         "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
-        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+        "n_train": 8, "p_max": 1})
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "error: mcs failed: plane returned 3 values for 100 points" \
         in capsys.readouterr().err
@@ -295,7 +312,7 @@ def test_plugin_output_of_one_column_runs(tmp_path):
         "x[:, 0] + x[:, 1] - 0.5", "(x[:, 0] + x[:, 1] - 0.5)[:, None]"))
     cfg_path, out = write_config(tmp_path, base={
         "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 20000,
-        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100, "seed": 5})
+        "n_train": 8, "p_max": 1, "seed": 5})
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert float(read_results(out)[0]["pf"]) == pytest.approx(0.125, abs=0.01)
 
@@ -322,7 +339,7 @@ def test_malformed_geometry_file_exits_2(tmp_path, capsys, defect, fragment):
     geometry.write_text(text)
     cfg_path, _ = write_config(tmp_path, base={
         "benchmark": "truss", "methods": ["mcs"], "n_mcs": 100,
-        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100,
+        "n_train": 8, "p_max": 1,
         "geometry_file": str(geometry)})
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
@@ -337,7 +354,7 @@ def test_limit_state_outside_its_domain_exits_2_and_keeps_partial_results(
     plugin.write_text(NORMAL_G_SOURCE)
     cfg_path, out = write_config(tmp_path, base={
         "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
-        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+        "n_train": 8, "p_max": 1})
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "error: mcs failed: inputs must lie in the unit hypercube" \
         in capsys.readouterr().err
@@ -350,7 +367,7 @@ def test_numerical_failure_exits_3_and_keeps_partial_results(tmp_path, capsys):
         "x[:, 0] + x[:, 1] - 0.5", "np.full(x.shape[0], np.nan)"))
     cfg_path, out = write_config(tmp_path, base={
         "plugin": str(plugin), "methods": ["mcs"], "n_mcs": 100,
-        "n_train": 8, "p_max": 1, "n_mcs_surrogate": 100})
+        "n_train": 8, "p_max": 1})
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert (tmp_path / "out" / "results.csv").is_file()
@@ -359,8 +376,7 @@ def test_numerical_failure_exits_3_and_keeps_partial_results(tmp_path, capsys):
 def test_setting_rejected_at_run_time_exits_2_and_keeps_partial_results(tmp_path, capsys):
     # p_max 12 in 10 variables is only found too large once LAR sizes its basis
     cfg_path, out = write_config(tmp_path, {
-        "methods": ["mcs", "spce"], "p_max": 12, "n_mcs": 2000,
-        "n_mcs_surrogate": 1000})
+        "methods": ["mcs", "spce"], "p_max": 12, "n_mcs": 2000})
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "error: spce failed: candidate basis" in capsys.readouterr().err
     assert [r["method"] for r in read_results(out)] == ["mcs"]
@@ -418,7 +434,7 @@ def test_nonfinite_surrogate_prediction_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_truncation_key_reaches_the_model(tmp_path):
     base = {"benchmark": "beam", "methods": ["mcs"], "n_mcs": 50000,
-            "n_train": 32, "p_max": 1, "n_mcs_surrogate": 100, "seed": 0}
+            "n_train": 32, "p_max": 1, "seed": 0}
     pf = {}
     for truncation in (True, False):
         out = tmp_path / str(truncation)
@@ -458,6 +474,20 @@ def test_shipped_configs_are_loadable():
         assert set(cfg.methods) == {"mcs", "spce", "sas-hpcfe"}
 
 
+def test_readme_config_table_names_every_key():
+    # the "Config keys" table of README.md, row by row: its first column
+    # names the config keys, and the hpcfe row the HpcfeConfig fields
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    table = readme.split("\nConfig keys.", 1)[1].split("\n\n| JSON key |", 1)[1]
+    rows = [line.split(" | ") for line in table.split("\n\n", 1)[0].splitlines()
+            if line.startswith("| `")]
+    keys = {name for row in rows for name in re.findall(r"`([^`]+)`", row[0])}
+    assert keys == StudyConfig._KNOWN_KEYS
+    (hpcfe_row,) = [row for row in rows if row[0] == "| `hpcfe`"]
+    assert set(re.findall(r"`([^`]+)`", hpcfe_row[2])) == {
+        f.name for f in dataclasses.fields(HpcfeConfig)}
+
+
 def test_bare_benchmark_config_exits_2(tmp_path, capsys):
     # a benchmark names the problem only; its settings are not filled in
     cfg_path, _ = write_config(tmp_path, base={"benchmark": "sobol-m10",
@@ -468,13 +498,11 @@ def test_bare_benchmark_config_exits_2(tmp_path, capsys):
 
 def test_config_keys_override_the_registry(tmp_path):
     # every key the config sets reaches the pipeline; the rest are defaults
-    cfg_path, _ = write_config(tmp_path, {"mu": 0.9, "n_grad_samples": 40})
+    cfg_path, _ = write_config(tmp_path, {"mu": 0.9})
     cfg = StudyConfig.from_file(str(cfg_path))
     assert cfg.pipeline == PipelineConfig(
-        n_train=250, p_max=3, lar_max_terms=25, n_mcs=20000, seed=3,
-        mu=0.9, n_grad_samples=40,
+        n_train=250, p_max=3, lar_max_terms=25, n_mcs=20000, seed=3, mu=0.9,
         hpcfe_config=HpcfeConfig(M=2, b=3, restarts=2, nm_max_evals=60))
-    assert cfg.n_mcs == 20000
 
 
 def test_study_benchmark_hooks_resolve(monkeypatch):
@@ -510,7 +538,7 @@ from sasrel.spce import fit_lar
 
 xi = 2.0 * sobol_points(64, 4) - 1.0
 model = fit_lar(xi, xi[:, 0] + xi[:, 1] * xi[:, 2] ** 2, p_max=3)
-reliability.subspace_from_surrogate(model, mu=0.98, n_grad_samples=40, skip=64)
+reliability.subspace_from_surrogate(model, mu=0.98, skip=64)
 print(json.dumps({"n_active": model.n_active,
                   "spans": [[s.name, s.rows, s.cols, s.parent] for s in tracer.spans]}))
 """

@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 from sasrel import hpcfe, parallel, polybasis
 from sasrel.errors import DimensionError, NumericalError, ParameterError
 from sasrel.hpcfe import (
+    THETA_BOUNDS,
     HpcfeConfig,
     build_design_matrix,
     correlation_matrix,
@@ -40,8 +41,6 @@ def test_config_validation():
         HpcfeConfig(M=0)
     with pytest.raises(ParameterError):
         HpcfeConfig(nugget=0.0)
-    with pytest.raises(ParameterError):
-        HpcfeConfig(theta_bounds=(1.0, 0.5))
     for cap in (0, -5):
         with pytest.raises(ParameterError):
             HpcfeConfig(nm_max_evals=cap)
@@ -237,12 +236,12 @@ def test_initial_simplex_steps_zero_coordinates_by_a_share_of_the_log_box(monkey
         return minimize(fun, x0, **kwargs)
 
     monkeypatch.setattr(hpcfe, "minimize", recording_minimize)
-    # log10 theta in [-3, 3]: the Sobol starts are (0, 0) and (1.5, -1.5)
-    model = fit(z, y, small_config(theta_bounds=(1e-3, 1e3), nm_max_evals=10))
+    # log10 theta in [-2, 2]: the Sobol starts are (0, 0) and (1, -1)
+    model = fit(z, y, small_config(nm_max_evals=10))
     (zero, zero_simplex), (nonzero, nonzero_simplex) = simplices
     assert [s.start_log_theta for s in model.starts] == [tuple(zero), tuple(nonzero)]
     assert zero.tolist() == [0.0, 0.0] and np.all(nonzero != 0.0)
-    step = 0.025 * 6.0  # 2.5% of the 6-decade log box
+    step = 0.025 * 4.0  # 2.5% of the 4-decade log box
     np.testing.assert_array_equal(zero_simplex, [[0.0, 0.0], [step, 0.0], [0.0, step]])
     # scipy's own step, bit for bit, where the coordinate is not zero
     np.testing.assert_array_equal(
@@ -472,7 +471,7 @@ def test_degenerate_gp_limit_reduces_to_trend():
     col_means = psi.mean(axis=0)
     c -= col_means * (col_means @ c) / (col_means @ col_means)
     y = 1.5 + psi @ c
-    model = fit_fixed_theta(z, y, np.full(2, cfg.theta_bounds[0]), cfg)
+    model = fit_fixed_theta(z, y, np.full(2, THETA_BOUNDS[0]), cfg)
     assert model.sigma2 <= 1e-8 * np.var(y)
     probe = rng.uniform(-1, 2, size=(50, 2))
     zs_probe = 2.0 * (probe - (z.min(0) - 0.025 * span)) / (1.05 * span) - 1.0
@@ -553,7 +552,7 @@ def test_likelihood_at_optimum_beats_every_start():
     cfg = small_config(restarts=4)
     model = fit_at_bound(z, y, cfg)
     best = concentrated_ll(model)
-    lo, hi = np.log10(cfg.theta_bounds)
+    lo, hi = np.log10(THETA_BOUNDS)
     starts = 10.0 ** (lo + (hi - lo) * sobol_points(cfg.restarts, 2))
     for theta0 in starts:
         assert best >= concentrated_ll(fit_fixed_theta(z, y, theta0, cfg)) - 1e-9

@@ -207,7 +207,7 @@ def test_study_imports_no_scipy_stats(tmp_path):
     # points, truncation levels and beta without importing scipy.stats.
     config = {"benchmark": "sobol-m10", "methods": ["mcs", "spce", "sas-hpcfe"],
               "n_train": 800, "p_max": 5, "max_terms": 30,
-              "n_mcs": 2000, "n_mcs_surrogate": 2000, "hpcfe": {"restarts": 1}}
+              "n_mcs": 2000, "hpcfe": {"restarts": 1}}
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(json.dumps(config))
     script = (

@@ -355,9 +355,13 @@ def test_pipeline_config_validation():
         PipelineConfig(n_train=10, p_max=1, n_mcs=0)
     with pytest.raises(ParameterError):
         PipelineConfig(n_train=10, p_max=1, n_mcs=100, mu=1.0)
+    with pytest.raises(ParameterError):
+        PipelineConfig(n_train=10, p_max=0, n_mcs=100)
+    with pytest.raises(ParameterError):
+        PipelineConfig(n_train=10, p_max=1, n_mcs=100, seed=-1)
 
 
-@pytest.mark.parametrize("name", ["lar_max_terms", "n_grad_samples"])
+@pytest.mark.parametrize("name", ["lar_max_terms"])
 def test_pipeline_config_counts_are_none_or_positive(name):
     for bad in (0, -3):
         with pytest.raises(ParameterError, match=name):
