@@ -7,8 +7,8 @@
 Each study runs ``RUNS`` times at the settings of its config,
 ``configs/<name>.json`` in this checkout as read by the ``StudyConfig`` of
 the ``sasrel`` under test (so a ``--src`` whose config keys differ from this
-checkout's must be timed by its own checkout's script), each time in a fresh child interpreter, so that
-peak RSS (``ru_maxrss``) belongs to that run alone, with OpenBLAS pinned to
+checkout's must be timed by its own checkout's script), each time in a fresh
+child interpreter, so that peak RSS (``ru_maxrss``) belongs to that run alone, with OpenBLAS pinned to
 one thread unless ``OPENBLAS_NUM_THREADS`` is already set.  The study's record holds the median over its runs of every
 stage time, of peak RSS and of the minor page faults (``ru_minflt``), and
 every run's own record under ``runs``.  The child imports ``sasrel`` from
@@ -26,7 +26,9 @@ directly, as ``sasrel run`` does, and times them:
 A run also records the minor page faults of the whole child (``minflt``,
 import included) and of each of its four top-level stages (``stage_minflt``:
 ``ref_mcs``, ``doe_lar``, ``spce_mcs`` and ``sas``, the last with the HPCFE
-fit and Monte Carlo).
+fit and Monte Carlo), and the process's peak RSS after each of those four
+stages (``stage_peak_rss_mb``, ``ru_maxrss``), so the stage that sets the
+study's peak is the first whose value reaches it.
 
 It also records each optimizer start as the fitted model records it
 (``HpcfeModel.starts``: start and end log10 theta, final log-likelihood, the
@@ -109,13 +111,16 @@ def run_study(name: str, seed: int) -> dict:
         reliability.subspace_from_surrogate, seconds, "subspace_s")
 
     minflt = {}
+    peak_rss = {}
 
     def stage(key, fn, *args):
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         out = fn(*args)
         seconds[key] = time.perf_counter() - start
-        minflt[key[:-2]] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        minflt[key[:-2]] = usage.ru_minflt - faults
+        peak_rss[key[:-2]] = round(usage.ru_maxrss / 1024, 1)
         return out
 
     ref = stage("ref_mcs_s", reliability.mcs_probability, bench.limit_state,
@@ -146,6 +151,7 @@ def run_study(name: str, seed: int) -> dict:
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
         "stage_minflt": minflt,
+        "stage_peak_rss_mb": peak_rss,
         "children_peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
         "results": {res.method: {"pf": res.pf, "beta": res.beta, "r": res.r}
@@ -207,6 +213,9 @@ def main(argv=None) -> int:
             "stage_s": {key: round(statistics.median(r["stage_s"][key] for r in runs), 3)
                         for key in runs[0]["stage_s"]},
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "stage_peak_rss_mb": {
+                key: statistics.median(r["stage_peak_rss_mb"][key] for r in runs)
+                for key in runs[0]["stage_peak_rss_mb"]},
             "minflt": statistics.median(r["minflt"] for r in runs),
             "runs": runs,
         }

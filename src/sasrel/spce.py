@@ -105,18 +105,22 @@ class _IncrementalOls:
         return float(np.sum(e**2)) / self.sum_sq * (n / (n - p)) * (1.0 + self.trace_inv)
 
 
-def lar_path(X: np.ndarray, norms: np.ndarray, raw: np.ndarray,
+def lar_path(raw: np.ndarray, norms: np.ndarray,
              ols: _IncrementalOls) -> Iterator[tuple[int, np.ndarray]]:
-    """Least-angle regression path over centered unit-norm columns.
+    """Least-angle regression path over the centered unit-norm candidates.
 
-    ``X[:, j]`` is ``raw[:, j]`` centered and divided by ``norms[j]``, and
-    ``ols`` fits the response on the constant alone.  Each joining column is
-    appended raw to ``ols``; the columns it rejects as dependent are skipped.
-    With the joined centered columns ``X_A = Q_1 R_1 D^-1`` (``Q_1``, ``R_1``
-    the QR blocks past the constant, ``D`` their norms), the equiangular
-    direction is ``u = Q_1 v / |v|`` with ``v = R_1^-T D s``, ``s`` the signs
-    of the active correlations.  The path ends when ``ols`` holds the columns
-    it was sized for or no candidate correlates with the residual.
+    The regressors are the columns of ``raw`` centered and divided by
+    ``norms``, their centered norms; a column of norm 0 starts out excluded.
+    ``ols`` fits the response on the constant alone.  The running residual
+    and every equiangular direction are orthogonal to the constant, so a
+    regressor's correlation with either is ``raw[:, j] @ v / norms[j]`` and
+    the centered columns are never formed.  Each joining column is appended
+    raw to ``ols``; the columns it rejects as dependent are skipped.  With the
+    joined centered columns ``X_A = Q_1 R_1 D^-1`` (``Q_1``, ``R_1`` the QR
+    blocks past the constant, ``D`` their norms), the equiangular direction is
+    ``u = Q_1 v / |v|`` with ``v = R_1^-T D s``, ``s`` the signs of the active
+    correlations.  The path ends when ``ols`` holds the columns it was sized
+    for or no candidate correlates with the residual.
 
     Yields ``(column, residual)`` once per joined regressor, where ``residual``
     is the running LAR residual after the equiangular step.  Each step binds a
@@ -128,10 +132,12 @@ def lar_path(X: np.ndarray, norms: np.ndarray, raw: np.ndarray,
     resid = ols.resid
     scale = max(1.0, float(np.linalg.norm(resid)))
     active: list[int] = []
-    excluded = np.zeros(X.shape[1], dtype=bool)
+    excluded = norms == 0.0
+    # an excluded column's correlation is never read
+    divisor = np.where(excluded, 1.0, norms)
 
     while ols.k < ols.max_cols and not excluded.all():
-        c = X.T @ resid
+        c = raw.T @ resid / divisor
         cmag = np.abs(c)
         cmag[excluded] = -1.0
         j = int(np.argmax(cmag))
@@ -148,7 +154,7 @@ def lar_path(X: np.ndarray, norms: np.ndarray, raw: np.ndarray,
         v = ols.r_inv[1:k + 1, 1:k + 1].T @ (norms[active] * s)
         aa = 1.0 / float(np.linalg.norm(v))
         u = ols.q[:, 1:k + 1] @ (aa * v)
-        corr_u = X.T @ u
+        corr_u = raw.T @ u / divisor
 
         gamma = big_c / aa
         free = ~excluded
@@ -235,7 +241,8 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     """Fit a sparse expansion on a standardized design of experiments.
 
     Runs the LAR path over the total-degree candidate basis (centered,
-    unit-norm regressors); the path's incremental OLS refit of the raw joined
+    unit-norm regressors, read from the one raw candidate design and its
+    centered column norms); the path's incremental OLS refit of the raw joined
     columns scores every path model by its corrected leave-one-out error.  The
     sparsest model near the best score is replayed, in path order, through a
     fresh refit, which gives its coefficients and stored score; numerically
@@ -263,7 +270,8 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     dim = xi.shape[1]
 
     card = basis_cardinality(dim, p_max)
-    est_bytes = 2.5 * 8 * n * card
+    # the fit peaks at 1.5 candidate designs: the design and its work blocks
+    est_bytes = 1.5 * 8 * n * card
     if est_bytes > _DESIGN_BYTES_LIMIT:
         raise ParameterError(
             f"candidate basis of {card} terms needs about "
@@ -277,18 +285,18 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
                               loo=0.0)
 
     phi = eval_design_matrix(candidates, xi)
-    # centered unit-norm regressors, built in one array beside phi
-    X = phi[:, 1:] - phi[:, 1:].mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # no design-sized X * X
-    usable = norms > 1e-12 * max(1.0, float(norms.max()))
-    np.divide(X, np.where(usable, norms, 1.0), out=X)
-    X[:, ~usable] = 0.0
+    raw = phi[:, 1:]  # path columns index the candidates past the constant
+    # centered norms, one block of centered columns at a time
+    mean = raw.mean(axis=0)
+    norms = np.empty(card - 1)
+    for cols in row_blocks(card - 1, 8 * n):
+        centered = raw[:, cols] - mean[cols]
+        norms[cols] = np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    norms[norms <= 1e-12 * max(1.0, float(norms.max()))] = 0.0
 
-    max_steps = min(int(np.sum(usable)), n - 1)
+    max_steps = min(int(np.count_nonzero(norms)), n - 1)
     if max_terms is not None:
         max_steps = min(max_steps, max_terms)
-
-    raw = phi[:, 1:]  # path columns index the candidates past the constant
 
     def refit(cols: list[int]) -> _IncrementalOls:
         ols = _IncrementalOls(y, len(cols))
@@ -299,7 +307,7 @@ def fit_lar(xi: np.ndarray, y: np.ndarray, p_max: int,
     path = _IncrementalOls(y, max_steps)
     path_cols: list[int] = []
     scores = [path.loo()]
-    for col, _ in lar_path(X, norms, raw, path):
+    for col, _ in lar_path(raw, norms, path):
         path_cols.append(col)
         scores.append(path.loo())
         if scores[-1] <= _LOO_EXACT:

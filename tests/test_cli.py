@@ -14,10 +14,12 @@ import sys
 import numpy as np
 import pytest
 
-from sasrel import cli, reliability
+from sasrel import cli, reliability, spce
 from sasrel.benchmarks import BENCHMARK_NAMES
 from sasrel.cli import StudyConfig, main
+from sasrel.errors import ParameterError
 from sasrel.hpcfe import HpcfeConfig
+from sasrel.probspace import sobol_points
 from sasrel.reliability import CountingLimitState, PipelineConfig
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -374,12 +376,38 @@ def test_numerical_failure_exits_3_and_keeps_partial_results(tmp_path, capsys):
 
 
 def test_setting_rejected_at_run_time_exits_2_and_keeps_partial_results(tmp_path, capsys):
-    # p_max 12 in 10 variables is only found too large once LAR sizes its basis
+    # p_max 13 in 10 variables is only found too large once LAR sizes its basis
     cfg_path, out = write_config(tmp_path, {
-        "methods": ["mcs", "spce"], "p_max": 12, "n_mcs": 2000})
+        "methods": ["mcs", "spce"], "p_max": 13, "n_mcs": 2000})
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "error: spce failed: candidate basis" in capsys.readouterr().err
     assert [r["method"] for r in read_results(out)] == ["mcs"]
+
+
+def test_candidate_basis_over_the_limit_exits_2_before_any_design(
+        tmp_path, capsys, monkeypatch):
+    # the plane plugin's candidates: 10 terms at 64 points, a fit of 1.5 designs
+    peak_bytes = 1.5 * 8 * 64 * 10
+    built = []
+    design = spce.eval_design_matrix
+
+    def recorded(basis, points):
+        built.append(basis.cardinality)
+        return design(basis, points)
+
+    monkeypatch.setattr(spce, "eval_design_matrix", recorded)
+    xi = 2.0 * sobol_points(64, 3) - 1.0
+    monkeypatch.setattr(spce, "_DESIGN_BYTES_LIMIT", peak_bytes)
+    spce.fit_lar(xi, xi[:, 0], p_max=2)
+    assert built == [10]
+    built.clear()
+    monkeypatch.setattr(spce, "_DESIGN_BYTES_LIMIT", peak_bytes - 1)
+    with pytest.raises(ParameterError, match="candidate basis of 10 terms"):
+        spce.fit_lar(xi, xi[:, 0], p_max=2)
+    cfg_path, _ = write_config(tmp_path, base=plugin_study(tmp_path, methods=["spce"]))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "error: spce failed: candidate basis of 10 terms" in capsys.readouterr().err
+    assert built == []
 
 
 def test_design_past_the_sobol_sequence_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+from sasrel import polybasis
 from sasrel.errors import DimensionError, DomainError, ParameterError
 from sasrel.hpcfe import HpcfeConfig, build_design_matrix
 from sasrel.polybasis import (
@@ -108,10 +109,10 @@ def dense_design(basis, points):
     return out
 
 
-def _subset_20_4():
+def _subset_20_4(n_points=40):
     idx = total_degree_indices(20, 4)
     rows = np.random.default_rng(4).choice(len(idx), 50, replace=False)
-    return BasisSet(idx[rows]), np.random.default_rng(5).uniform(-1.0, 1.0, (40, 20))
+    return BasisSet(idx[rows]), np.random.default_rng(5).uniform(-1.0, 1.0, (n_points, 20))
 
 
 def _trend_r3_b5():
@@ -125,6 +126,8 @@ DESIGN_CASES = {
         BasisSet.total_degree(100, 2),
         np.random.default_rng(3).uniform(-1.0, 1.0, (64, 100))),
     "subset-20-4": _subset_20_4,
+    # 300 rows in 64-row blocks (the test's budget): four full, one ragged
+    "row-blocks-20-4": lambda: _subset_20_4(300),
     "trend-r3-b5-outside": _trend_r3_b5,
     "zero-rows": lambda: (
         BasisSet(np.empty((0, 4), dtype=np.int64)), np.zeros((5, 4))),
@@ -135,7 +138,10 @@ DESIGN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(DESIGN_CASES))
-def test_design_matrix_equals_dense_reference_bitwise(case):
+def test_design_matrix_equals_dense_reference_bitwise(case, monkeypatch):
+    # the kernel fills blocks of a sixteenth of the budget: 64 rows of 50
+    # terms here; the other cases have at most 64 rows
+    monkeypatch.setattr(polybasis, "BLOCK_BYTES", 16 * 8 * 50 * 64)
     basis, pts = DESIGN_CASES[case]()
     phi = eval_design_matrix(basis, pts, check_domain=False)
     assert phi.dtype == np.float64

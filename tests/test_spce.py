@@ -202,7 +202,7 @@ def test_lar_equicorrelation_along_path():
     y -= y.mean()
     active = []
     # X is already centered and unit-norm, so it is its own raw design
-    for col, resid in lar_path(X, np.ones(25), X, _IncrementalOls(y, 12)):
+    for col, resid in lar_path(X, np.ones(25), _IncrementalOls(y, 12)):
         active.append(col)
         c = np.abs(X.T @ resid)
         c_active = c[active]
@@ -267,7 +267,7 @@ def test_qr_lar_path_matches_cholesky_lar(seed):
     norms = np.linalg.norm(raw - raw.mean(axis=0), axis=0)
     X = (raw - raw.mean(axis=0)) / norms
 
-    path = list(lar_path(X, norms, raw, _IncrementalOls(y, m)))
+    path = list(lar_path(raw, norms, _IncrementalOls(y, m)))
     oracle = list(cholesky_lar(X, y - y.mean(), m))
     assert [col for col, _ in path] == [col for col, _ in oracle]
     # both dependent candidates are skipped and every other column joins
@@ -300,6 +300,21 @@ def test_fit_continues_past_dependent_candidates(monkeypatch):
     assert np.linalg.matrix_rank(np.column_stack([np.ones(80), design])) == 20
     M = np.column_stack([np.ones(80), eval_design_matrix(model.basis, xi)])
     assert model.n_active > 0
+    assert model.loo == pytest.approx(brute_force_loo(M, y), rel=1e-10)
+
+
+def test_candidates_of_zero_norm_start_excluded():
+    # a coordinate fixed at 0 makes every candidate odd in it exactly zero and
+    # the even ones constant: none may join, and none may divide by its norm
+    xi = std_doe(60, 3)
+    xi[:, 2] = 0.0
+    y = np.sin(2.0 * xi[:, 0]) + xi[:, 1] ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = fit_lar(xi, y, p_max=3)
+    assert model.n_active > 0
+    assert model.indices[:, :2].any(axis=1).all()
+    M = np.column_stack([np.ones(60), eval_design_matrix(model.basis, xi)])
     assert model.loo == pytest.approx(brute_force_loo(M, y), rel=1e-10)
 
 
@@ -339,10 +354,10 @@ def test_max_terms_and_patience_cap_path():
 
 
 def test_fit_peak_memory_is_a_few_designs():
-    # the fit keeps two design-sized arrays, the candidate design and its
-    # regressors; the transpose copy while the design is built adds less
-    # than one more, and the column norms make no design-sized temporary
-    n, dim, p_max = 300, 10, 4
+    # beam's shape, 10626 candidates at 800 points: the fit keeps one
+    # candidate design, which the kernel fills in 64-row blocks, and reads
+    # the centered norms from blocks of centered columns
+    n, dim, p_max = 800, 20, 4
     xi = std_doe(n, dim)
     y = np.sin(xi[:, 0]) + xi[:, 1] * xi[:, 2] + 0.1 * xi[:, 3] ** 3
     tracemalloc.start()
@@ -351,17 +366,17 @@ def test_fit_peak_memory_is_a_few_designs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * n * basis_cardinality(dim, p_max)
+    assert peak < 1.5 * 8 * n * basis_cardinality(dim, p_max)
 
 
 def test_gradient_peak_memory_is_a_few_designs():
     # gfun-m100's shape: 1000 gradient points, dim 100, 50 terms of total
     # degree <= 2.  The gradient is one design of the derived basis (each
     # term with one exponent lowered by 1) times its coefficient matrix; the
-    # design kernel holds the transposed points, a two-row value table per
-    # coordinate and the design with its transposed copy, and the result is
-    # (n, dim).  The (n, terms, dim) tensor of every term's gradient would be
-    # 8 * 1000 * 50 * 100 = 40 MB.
+    # design kernel holds the transposed points, one value row per coordinate
+    # and degree >= 1 (psi_0 = 1 is not stored) and the design, and the
+    # result is (n, dim).  The (n, terms, dim) tensor of every term's gradient
+    # would be 8 * 1000 * 50 * 100 = 40 MB.
     n, dim = 1000, 100
     rng = np.random.default_rng(8)
     candidates = total_degree_indices(dim, 2)
@@ -380,7 +395,7 @@ def test_gradient_peak_memory_is_a_few_designs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * n * len(derived)
+    assert peak < 4 * 8 * n * len(derived)
 
 
 def test_validation_errors():
